@@ -32,6 +32,7 @@ rule did, and benchmarks can count graph work.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ from repro.core.rules import (
 from repro.core.transform import EdgeAddition, NodeAddition, TransformLog
 from repro.errors import ArticulationError, TermNotFoundError
 
-__all__ = ["Articulation", "ArticulationGenerator"]
+__all__ = ["Articulation", "ArticulationGenerator", "BridgeSet"]
 
 # One lock for every articulation's cached views (the unified graph
 # and the covered-term set).  A module-level lock rather than a
@@ -67,6 +68,64 @@ __all__ = ["Articulation", "ArticulationGenerator"]
 # serving threads must share ONE unified graph (and its match
 # indexes), not race to build duplicates.
 _CACHE_LOCK = threading.Lock()
+
+# Process-wide source of bridge-set stamps: no two set states ever
+# share one, so a stamp compare stands in for a content compare.
+_BRIDGE_STAMPS = itertools.count(1)
+
+
+class BridgeSet(set):
+    """The articulation's bridge edges, with an O(1) change stamp.
+
+    ``stamp`` is drawn from a process-wide counter on construction and
+    again after every in-place mutation, so
+    :meth:`Articulation.fingerprint` reads one integer instead of
+    hashing every edge.  The stamp moves *after* the mutation lands: a
+    reader that sees the new stamp also sees the new content.  Copies
+    and unpickled sets take a fresh stamp, never the original's.
+    """
+
+    __slots__ = ("stamp",)
+
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+        super().__init__(edges)
+        self.stamp = next(_BRIDGE_STAMPS)
+
+    def __reduce__(self):
+        return (type(self), (list(self),))
+
+
+def _restamping(name: str):
+    mutate = getattr(set, name)
+
+    def method(self, *args):
+        result = mutate(self, *args)
+        self.stamp = next(_BRIDGE_STAMPS)
+        return result
+
+    method.__name__ = name
+    method.__qualname__ = f"BridgeSet.{name}"
+    method.__doc__ = mutate.__doc__
+    return method
+
+
+for _name in (
+    "add",
+    "discard",
+    "remove",
+    "pop",
+    "clear",
+    "update",
+    "difference_update",
+    "intersection_update",
+    "symmetric_difference_update",
+    "__ior__",
+    "__iand__",
+    "__isub__",
+    "__ixor__",
+):
+    setattr(BridgeSet, _name, _restamping(_name))
+del _name
 
 
 @dataclass
@@ -81,17 +140,19 @@ class Articulation:
     ``version`` is a monotonically bumped mutation stamp: the
     generator, the maintenance repair, and the bridge-dropping helpers
     bump it, and :meth:`fingerprint` combines it with the mutation
-    versions of every underlying graph.  Derived state — the unified
-    graph, the covered-term set, downstream inference programs — is
-    cached against that fingerprint instead of being rebuilt per call;
-    ``cache_stats`` counts the hits and misses tests and benchmarks
-    assert on.
+    versions of every underlying graph and the stamp of the
+    :class:`BridgeSet`.  ``bridges`` is always a :class:`BridgeSet`:
+    assigning any other iterable of edges converts it.  Derived state
+    — the unified graph, the covered-term set, downstream inference
+    programs — is cached against that fingerprint instead of being
+    rebuilt per call; ``cache_stats`` counts the hits and misses tests
+    and benchmarks assert on.
     """
 
     ontology: Ontology
     sources: dict[str, Ontology]
     rules: ArticulationRuleSet
-    bridges: set[Edge] = field(default_factory=set)
+    bridges: BridgeSet = field(default_factory=BridgeSet)
     functions: dict[str, FunctionalRule] = field(default_factory=dict)
     log: TransformLog = field(default_factory=TransformLog)
     version: int = field(default=0, compare=False)
@@ -109,6 +170,11 @@ class Articulation:
     def name(self) -> str:
         return self.ontology.name
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "bridges" and not isinstance(value, BridgeSet):
+            value = BridgeSet(value)
+        super().__setattr__(name, value)
+
     # ------------------------------------------------------------------
     # version stamping
     # ------------------------------------------------------------------
@@ -121,15 +187,13 @@ class Articulation:
         """A cheap change stamp over everything the unified view reads.
 
         Combines the explicit ``version`` with the mutation counters of
-        the articulation graph and every source graph, plus
-        order-insensitive content stamps of the bridge set and the
-        function table (both public fields, mutable in place by
-        external callers — size alone would miss an equal-count swap).
-        O(#sources + #bridges), no graph traversal.
+        the articulation graph and every source graph, the bridge set's
+        :class:`BridgeSet` stamp (moved by every in-place edit, so an
+        equal-count swap changes it), and an order-insensitive content
+        stamp of the function table (a public dict, mutable in place by
+        external callers).  O(#sources + #functions): the bridges are
+        never iterated.
         """
-        bridge_stamp = 0
-        for edge in self.bridges:
-            bridge_stamp ^= hash(edge)
         function_stamp = 0
         for label in self.functions:
             function_stamp ^= hash(label)
@@ -142,8 +206,7 @@ class Articulation:
                     for name, source in self.sources.items()
                 )
             ),
-            len(self.bridges),
-            bridge_stamp,
+            self.bridges.stamp,
             len(self.functions),
             function_stamp,
             self.rules.version,

@@ -280,6 +280,23 @@ class OntologyInferenceEngine:
             facts.add((IMPLIES, specific, general))
         return clauses, facts, edge_facts, rule_pairs
 
+    def _stamp_matches(
+        self, articulation: Articulation, fingerprint: tuple
+    ) -> bool:
+        return (
+            self._program_facts is not None
+            and self._stamp_articulation is articulation
+            and self._stamp_fingerprint == fingerprint
+        )
+
+    def is_current(self, articulation: Articulation) -> bool:
+        """Would :meth:`refresh_from_articulation` be a no-op?
+
+        The same stamp comparison, without refreshing: a caller can
+        skip work it only needs before a refresh that mutates.
+        """
+        return self._stamp_matches(articulation, articulation.fingerprint())
+
     def refresh_from_articulation(
         self, articulation: Articulation
     ) -> dict[str, object]:
@@ -312,11 +329,7 @@ class OntologyInferenceEngine:
         Articulation" win.
         """
         fingerprint = articulation.fingerprint()
-        if (
-            self._program_facts is not None
-            and self._stamp_articulation is articulation
-            and self._stamp_fingerprint == fingerprint
-        ):
+        if self._stamp_matches(articulation, fingerprint):
             self.last_refresh = {
                 "mode": "noop",
                 "facts": len(self._program_facts),

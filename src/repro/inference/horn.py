@@ -409,6 +409,18 @@ class FactStore:
                     )
         yield from self._facts
 
+    def copy(self) -> "FactStore":
+        """A flat, independent store holding every visible fact.
+
+        Fact by fact, O(closure).  An overlay's copy folds base and
+        local facts (minus tombstones) into one root store, so copies
+        of copies never deepen a chain.
+        """
+        fresh = FactStore()
+        for atom in self.iter_facts():
+            fresh.add(atom)
+        return fresh
+
 
 # ----------------------------------------------------------------------
 # clause compilation: slot-mapped, reordered join plans
@@ -1225,9 +1237,7 @@ class HornEngine:
         self.fault_plan = fault_plan
         self.journal = journal
         self.last_calibration: list[dict[str, float]] = []
-        self._store = store if store is not None else self._new_store(
-            initial=True
-        )
+        self._store = store if store is not None else self._new_store()
         self._clauses: list[HornClause] = []
         self._clause_set: set[HornClause] = set()
         self._compiled: list[CompiledClause] = []
@@ -1250,14 +1260,12 @@ class HornEngine:
         self._stratum_deps: list[set[int]] | None = None
         self.last_stats: dict[str, int | str] = _new_stats("idle")
 
-    def _new_store(self, *, initial: bool = False) -> FactStore:
-        """A fresh empty store honoring the engine's ``storage`` choice.
-
-        ``initial`` is True only for the constructor's store: an
-        explicit ``storage_path`` names *that* database, so later
-        stores (``detach_store`` replacements) always get private
-        temporary files rather than clobbering the original.
-        """
+    def _new_store(self) -> FactStore:
+        """The constructor's store, honoring the engine's ``storage``
+        choice.  An explicit ``storage_path`` names *this* database:
+        the stores :meth:`detach_store` swaps in later are
+        ``store.copy()`` results, and a paged copy always lives in a
+        private temporary file."""
         if self.storage == "paged":
             # local import: kb.pagestore depends on nothing in the
             # inference layer, but importing it eagerly would make the
@@ -1267,8 +1275,9 @@ class HornEngine:
             kwargs: dict[str, int] = {}
             if self.buffer_facts is not None:
                 kwargs["buffer_facts"] = self.buffer_facts
-            path = self.storage_path if initial else None
-            return PagedFactStore(path, **kwargs)  # type: ignore[return-value]
+            return PagedFactStore(  # type: ignore[return-value]
+                self.storage_path, **kwargs
+            )
         return FactStore()
 
     # ------------------------------------------------------------------
@@ -2200,21 +2209,20 @@ class HornEngine:
     def detach_store(self) -> FactStore:
         """Freeze the current store as a snapshot; keep working on a copy.
 
-        Saturates first, then swaps a fact-for-fact copy of the store
-        into the engine and returns the original, which this engine
-        will never touch again — the caller may publish it as a
-        consistent read-only snapshot (the serving tier's session
-        stores overlay it).  The copy is flat even when the current
-        store is overlay-backed, so repeated detaches never deepen a
-        chain.  Cost is O(closure) once per detach, paid by the
-        *writer* at a churn boundary — readers stay copy-free.
+        Saturates first, then swaps ``store.copy()`` into the engine
+        and returns the original, which this engine will never touch
+        again — the caller may publish it as a consistent read-only
+        snapshot (the serving tier's session stores overlay it).  The
+        store decides how to copy itself: an in-memory
+        :class:`FactStore` copies fact by fact into a flat store
+        (O(closure) Python work, and repeated detaches never deepen an
+        overlay chain); a paged store copies its database pages inside
+        SQLite.  Paid by the *writer* at a churn boundary — readers
+        stay copy-free.
         """
         self._ensure_current()
         old = self._store
-        fresh = self._new_store()
-        for atom in old.iter_facts():
-            fresh.add(atom)
-        self._store = fresh
+        self._store = old.copy()
         return old
 
     def fact_count(self, predicate: str | None = None) -> int:

@@ -3,13 +3,15 @@
 :class:`PagedFactStore` keeps the exact (predicate, position, value)
 index contract of :class:`repro.inference.horn.FactStore` — ``add`` /
 ``remove`` / ``__contains__`` / ``pool`` / ``probe`` / the size
-accessors — but the facts and their argument-position indexes live in
-SQLite tables instead of Python dicts, so programs whose closure does
-not fit in memory still saturate.  The design follows the EMBANKS
-move of shifting index structures to disk behind a paged cache
-(PAPERS.md): the query algorithms — the Horn engine's compiled join
-plans, the overlay/tombstone discipline, the serving tier's snapshot
-reads — run unmodified; only the bucket fetch underneath them changes.
+accessors / ``copy`` — but the facts and their argument-position
+indexes live in SQLite tables instead of Python dicts, so programs
+whose closure does not fit in memory still saturate.  The design
+follows the EMBANKS move of shifting index structures to disk behind
+a paged cache (PAPERS.md): the query algorithms — the Horn engine's
+compiled join plans, the overlay/tombstone discipline, the serving
+tier's snapshot reads — run unmodified; only the bucket fetch
+underneath them changes, and bulk work such as :meth:`copy` runs
+inside SQLite rather than as a Python loop over facts.
 
 Layout:
 
@@ -448,6 +450,28 @@ class PagedFactStore:
     def _facts(self) -> set[Atom]:
         """Materialized fact set (legacy rebuild paths only — O(n))."""
         return set(self.iter_facts())
+
+    def copy(self) -> "PagedFactStore":
+        """An independent store in a fresh private temporary file.
+
+        Commits the open group-commit transaction, then copies the
+        database pages with SQLite's online backup — no per-fact
+        Python work.  The copy keeps this store's ``buffer_facts`` and
+        ``commit_every`` but starts with an empty buffer pool.
+        """
+        with self._lock:
+            self._commit()
+            fresh = PagedFactStore(
+                buffer_facts=self.buffer_facts,
+                commit_every=self.commit_every,
+            )
+            try:
+                self._conn.backup(fresh._conn)
+            except BaseException:
+                fresh.close()  # removes the half-written temp file
+                raise
+        fresh._reload_counts()
+        return fresh
 
     # ------------------------------------------------------------------
     # bulk ETL (staging + batch upsert + post-load reindex)

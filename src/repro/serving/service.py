@@ -13,10 +13,14 @@ table — and arbitrates access with one readers-writer lock:
   end in :meth:`_publish` — saturate to fixpoint, bump the publication
   counter, invalidate the result cache;
 * **session reads** take no lock at all: a session answers from a
-  frozen snapshot store (see :mod:`repro.serving.session`), and the
-  write path detaches the live engine onto a private copy
-  (:meth:`~repro.inference.horn.HornEngine.detach_store`) before
-  mutating anything a session pins.
+  frozen snapshot store (see :mod:`repro.serving.session`), and a
+  write that will mutate a store a session pins first detaches the
+  live engine onto a private copy
+  (:meth:`~repro.inference.horn.HornEngine.detach_store`: fact by
+  fact in memory, a page-level SQLite backup when paged).  Writes
+  that leave the pinned store alone — installing a new articulation
+  (a new engine replaces the old one), a refresh whose stamp has not
+  moved — skip the copy.
 
 Durability rides the PR 7 machinery: constructed with a journal path,
 every published diff is write-ahead journaled by the Horn engine's
@@ -198,9 +202,10 @@ class ArticulationService:
     def _prepare_write(self) -> None:
         """Freeze the current store if any live session pins it.
 
-        Called under the write lock, before the first mutation.  The
-        engine moves onto a private O(closure) copy; pinned sessions
-        keep answering the frozen fixpoint untouched.
+        Called under the write lock, before the first mutation of the
+        live engine.  The engine moves onto a private copy of its
+        store; pinned sessions keep answering the frozen fixpoint
+        untouched.
         """
         try:
             horn = self._horn()
@@ -273,7 +278,8 @@ class ArticulationService:
         articulation: Articulation,
         stores: dict[str, object] | None,
     ) -> dict[str, object]:
-        self._prepare_write()
+        # No detach: the current engine is replaced, never mutated, so
+        # a store pinned by sessions stays frozen as it is.
         self._articulation = articulation
         self._maintainer = ArticulationMaintainer(articulation)
         for source_name, ontology in articulation.sources.items():
@@ -345,7 +351,8 @@ class ArticulationService:
         with self._rw.write():
             if self._inference is None or self._articulation is None:
                 raise ServingError("no articulation loaded")
-            self._prepare_write()
+            if not self._inference.is_current(self._articulation):
+                self._prepare_write()
             report = self._inference.refresh_from_articulation(
                 self._articulation
             )

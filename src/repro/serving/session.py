@@ -12,7 +12,9 @@ state only on an explicit :meth:`SessionManager.refresh`.
 
 The cost model is deliberately asymmetric: sessions (many, per
 client) never copy anything; the writer (one, serialized) pays one
-O(closure) copy per churn boundary that actually has live readers.
+store copy per churn boundary that actually has live readers — fact
+by fact for an in-memory store, one SQLite backup of the database
+pages for a paged store.
 
 Snapshot reads never touch a :class:`HornEngine` — they probe the
 frozen store's argument-position indexes directly

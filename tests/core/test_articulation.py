@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.articulation import Articulation, ArticulationGenerator
+from repro.core.articulation import (
+    Articulation,
+    ArticulationGenerator,
+    BridgeSet,
+)
 from repro.core.graph import Edge
 from repro.core.ontology import Ontology
 from repro.core.rules import ArticulationRuleSet, parse_rule, parse_rules
 from repro.errors import ArticulationError, TermNotFoundError
+
+
+def _triple(edge: Edge) -> tuple[str, str, str]:
+    return (edge.source, edge.label, edge.target)
 
 
 def bridges_as_triples(articulation: Articulation) -> set[tuple[str, str, str]]:
@@ -474,3 +482,123 @@ class TestVersionStampCaching:
         assert after is not before
         assert after.has_edge(new.source, new.label, new.target)
         assert not after.has_edge(old.source, old.label, old.target)
+
+    # Each edit swaps ``old`` out and/or ``new`` in through one
+    # BridgeSet mutator (or by reassigning the field to a plain set).
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda art, old, new: art.bridges.add(new), id="add"),
+            pytest.param(
+                lambda art, old, new: art.bridges.discard(old), id="discard"
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.remove(old), id="remove"
+            ),
+            pytest.param(lambda art, old, new: art.bridges.pop(), id="pop"),
+            pytest.param(lambda art, old, new: art.bridges.clear(), id="clear"),
+            pytest.param(
+                lambda art, old, new: art.bridges.update([new]), id="update"
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.difference_update([old]),
+                id="difference_update",
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.intersection_update(
+                    set(art.bridges) - {old}
+                ),
+                id="intersection_update",
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.symmetric_difference_update(
+                    {old, new}
+                ),
+                id="symmetric_difference_update",
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.__ior__({new}), id="ior"
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.__iand__(
+                    set(art.bridges) - {old}
+                ),
+                id="iand",
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.__isub__({old}), id="isub"
+            ),
+            pytest.param(
+                lambda art, old, new: art.bridges.__ixor__({old, new}),
+                id="ixor",
+            ),
+            pytest.param(
+                lambda art, old, new: setattr(
+                    art, "bridges", (set(art.bridges) - {old}) | {new}
+                ),
+                id="reassign",
+            ),
+        ],
+    )
+    def test_bridge_edit_invalidates_cache(
+        self, transport: Articulation, edit
+    ) -> None:
+        """Every in-place bridge mutator, and reassigning the field,
+        moves the fingerprint: the unified graph is rebuilt with
+        exactly the edited bridge set."""
+        before = transport.unified_graph()
+        fingerprint = transport.fingerprint()
+        old = min(transport.bridges, key=_triple)
+        new = Edge("carrier:SUV", "SIBridge", "transport:Vehicle")
+        candidates = set(transport.bridges) | {new}
+        edit(transport, old, new)
+        assert isinstance(transport.bridges, BridgeSet)
+        assert transport.fingerprint() != fingerprint
+        after = transport.unified_graph()
+        assert after is not before
+        for edge in candidates:
+            assert after.has_edge(edge.source, edge.label, edge.target) == (
+                edge in transport.bridges
+            )
+        # the (possibly coerced) set keeps tracking later edits
+        fingerprint = transport.fingerprint()
+        transport.bridges.add(old)
+        assert transport.fingerprint() != fingerprint
+
+    def test_untouched_articulation_keeps_fingerprint(
+        self, transport: Articulation
+    ) -> None:
+        """Reads never move the fingerprint, so the caches keyed on it
+        keep hitting."""
+        fingerprint = transport.fingerprint()
+        graph = transport.unified_graph()
+        transport.covered_source_terms()
+        bridge = min(transport.bridges, key=_triple)
+        assert bridge in transport.bridges
+        transport.bridges_from(bridge.source)
+        transport.bridges_to(bridge.target)
+        union = transport.bridges | {Edge("a:X", "SIBridge", "b:Y")}
+        assert len(union) == len(transport.bridges) + 1
+        assert transport.bridges.copy() == transport.bridges
+        assert transport.fingerprint() == fingerprint
+        assert transport.fingerprint() == transport.fingerprint()
+        transport.cache_stats.clear()
+        assert transport.unified_graph() is graph
+        transport.covered_source_terms()
+        assert transport.cache_stats == {"unified_hits": 1, "covered_hits": 1}
+
+    def test_bridge_set_copies_take_fresh_stamps(
+        self, transport: Articulation
+    ) -> None:
+        import copy
+        import pickle
+
+        bridges = transport.bridges
+        for clone in (
+            copy.copy(bridges),
+            copy.deepcopy(bridges),
+            pickle.loads(pickle.dumps(bridges)),
+        ):
+            assert isinstance(clone, BridgeSet)
+            assert clone == bridges
+            assert clone.stamp != bridges.stamp

@@ -5,7 +5,11 @@ included)."""
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import sys
+import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +129,71 @@ class TestFactStoreContract:
         assert not os.path.exists(path)
         with pytest.raises(sqlite3.ProgrammingError):
             paged._conn.execute("SELECT 1")
+
+    def test_failed_copy_removes_its_temp_file(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        paged = PagedFactStore(":memory:")
+        paged.add(("S", "a", "b"))
+        paged.flush()
+        paged._conn.close()  # the backup step now raises
+        with pytest.raises(sqlite3.ProgrammingError) as raised:
+            paged.copy()
+        # ``raised`` keeps the traceback, and with it the half-built
+        # copy, alive: its files must be gone anyway, not left for
+        # garbage collection
+        assert raised.type is sqlite3.ProgrammingError
+        assert list(tmp_path.iterdir()) == []
+
+    def test_copy_under_concurrent_readers(self) -> None:
+        """Sessions keep scanning the pinned store while the writer
+        copies it (COMMIT plus backup on the shared connection): every
+        scan stays complete and every copy equals the source."""
+        source = PagedFactStore(":memory:", buffer_facts=64, commit_every=10**6)
+        pools = {
+            "S": set(_chain(300)),
+            "T": {("T", f"x{i}", "y") for i in range(300)},
+        }
+        for pool in pools.values():
+            for atom in pool:
+                source.add(atom)
+        errors: list[str] = []
+        stop = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not stop.is_set():
+                    if set(source.pool("S")) != pools["S"]:
+                        errors.append("incomplete pool scan")
+                    if set(source.probe("T", 2, "y")) != pools["T"]:
+                        errors.append("incomplete probe")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for round_ in range(10):
+                # reopen the group-commit transaction without touching
+                # the pools the readers check
+                source.add(("U", "tick", str(round_)))
+                copy = source.copy()
+                try:
+                    assert set(copy.iter_facts()) == set(source.iter_facts())
+                finally:
+                    copy.close()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            source.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestBufferPool:
@@ -314,15 +383,46 @@ class TestChurnParityMatrix:
             engines[storage] = engine.facts()
         assert engines["paged"] == engines["memory"]
 
-    def test_detach_store_returns_frozen_paged_snapshot(self) -> None:
-        engine = HornEngine(storage="paged", storage_path=":memory:")
-        engine.add_clause(TRANS)
-        engine.add_facts(_chain(6))
-        engine.saturate()
-        before = engine.facts()
-        frozen = engine.detach_store()
-        engine.add_fact(("S", "zz", "n0"))
-        engine.saturate()
-        assert set(frozen.iter_facts()) == before  # snapshot froze
-        assert engine.facts() > before
-        assert engine.store is not frozen
+    def test_detach_store_returns_frozen_paged_snapshot(self, tmp_path) -> None:
+        """The engine moves onto ``store.copy()``: a page-level backup
+        into a private temp file that answers every accessor like the
+        source — including facts still inside the source's open
+        group-commit transaction — and then evolves independently."""
+        for path in (":memory:", str(tmp_path / "source.sqlite")):
+            source = PagedFactStore(path, buffer_facts=64, commit_every=10**6)
+            engine = HornEngine(store=source)
+            engine.add_clause(TRANS)
+            engine.add_facts(_chain(6))
+            engine.saturate()
+            before = engine.facts()
+            assert source._in_tx  # nothing committed yet
+            frozen = engine.detach_store()
+            copy = engine.store
+            assert frozen is source and copy is not frozen
+            assert isinstance(copy, PagedFactStore)
+            assert copy.buffer_facts == 64
+            assert set(copy.iter_facts()) == set(frozen.iter_facts()) == before
+            assert len(copy) == len(frozen) == len(before)
+            assert copy.pool_size("S") == frozen.pool_size("S")
+            for pos in (1, 2):
+                for value in ("n0", "n3", "n6", "nope"):
+                    assert sorted(copy.probe("S", pos, value)) == sorted(
+                        frozen.probe("S", pos, value)
+                    )
+            # mutations on either side stay on that side
+            engine.add_fact(("S", "zz", "n0"))
+            engine.saturate()
+            frozen.add(("S", "only", "frozen"))
+            assert set(frozen.iter_facts()) == before | {("S", "only", "frozen")}
+            assert engine.facts() > before
+            assert ("S", "only", "frozen") not in copy
+            assert ("S", "zz", "n0") not in frozen
+            if path != ":memory:":
+                mode = frozen._conn.execute("PRAGMA journal_mode").fetchone()
+                assert mode == ("wal",)
+            copy.flush()
+            files = [copy.path + suffix for suffix in ("", "-wal", "-shm")]
+            assert all(os.path.exists(name) for name in files)
+            copy.close()
+            frozen.close()
+            assert not any(os.path.exists(name) for name in files)

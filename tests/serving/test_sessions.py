@@ -14,8 +14,14 @@ from repro.inference.horn import FactStore
 
 
 @pytest.fixture
-def service() -> ArticulationService:
-    svc = ArticulationService()
+def storage() -> str:
+    """The engine storage; ``TestPagedIsolation`` overrides it."""
+    return "memory"
+
+
+@pytest.fixture
+def service(storage: str) -> ArticulationService:
+    svc = ArticulationService(storage=storage)
     load_paper_workload(svc)
     return svc
 
@@ -87,6 +93,44 @@ class TestIsolation:
         service.create_session()
         service.apply_facts([("implies", "x:B", "x:C")], [])
         assert service.stats()["counts"]["detaches"] == 1
+
+    def test_reinstall_replaces_engine_without_detach(self, service) -> None:
+        """Installing replaces the pinned engine rather than mutating
+        it, so there is nothing to copy."""
+        sid = service.create_session()["session"]
+        baseline = _session_terms(service, sid, "carrier:SUV")
+        load_paper_workload(service)
+        service.apply_facts(
+            [("implies", "carrier:SUV", "factory:Vehicle")], []
+        )
+        assert service.stats()["counts"]["detaches"] == 0
+        assert "factory:Vehicle" in service.infer(
+            {"op": "generalizations", "term": "carrier:SUV"}
+        )["terms"]
+        assert _session_terms(service, sid, "carrier:SUV") == baseline
+
+    def test_noop_refresh_skips_detach(self, service) -> None:
+        sid = service.create_session()["session"]
+        baseline = _session_terms(service, sid, "carrier:Car")
+        assert service.refresh()["refresh"]["mode"] == "noop"
+        assert service.stats()["counts"]["detaches"] == 0
+        assert _session_terms(service, sid, "carrier:Car") == baseline
+        # a refresh that does move the engine still detaches first
+        service._articulation.sources["carrier"].add_subclass(
+            "Car", "SUV"
+        )
+        assert service.refresh()["refresh"]["mode"] != "noop"
+        assert service.stats()["counts"]["detaches"] == 1
+        assert "carrier:SUV" in service.infer(
+            {"op": "generalizations", "term": "carrier:Car"}
+        )["terms"]
+        assert _session_terms(service, sid, "carrier:Car") == baseline
+
+
+@pytest.mark.parametrize("storage", ["paged"])
+class TestPagedIsolation(TestIsolation):
+    """The isolation suite again, over sessions pinning paged stores:
+    every detach is a page-level SQLite copy."""
 
 
 class TestSessionLifecycle:
