@@ -1,19 +1,8 @@
-"""Experiment PARALLEL: stratum-parallel saturation + batched churn.
+"""Experiment PARALLEL: batched churn and the rebuild crossover.
 
-PR 6 adds two perf layers to the Horn engine and this experiment
-measures both:
+The experiment keeps its historical name; saturation itself is serial.
+It measures the two batching layers of the Horn engine:
 
-* **speedup-vs-workers** — saturate a wide program (many mutually
-  independent recursive predicate families, so the stratum DAG has
-  real width) under ``workers`` ∈ {1, 2, 4}.  Fact sets must be
-  bit-for-bit identical.  The headline figure is the **DAG makespan
-  speedup**: list-scheduling the *measured* per-stratum serial times
-  (``last_stats["stratum_ms"]``) over the stratum dependency DAG with
-  W workers, against their serial sum.  Wall clock is recorded too,
-  honestly — on a single-core CI runner process-pool wall time shows
-  overhead, not speedup, which is why the acceptance bar is on the
-  makespan model the scheduler provably follows (its dispatch *is*
-  list scheduling over that DAG).
 * **batched churn** — the §5.3 churn campaign with coalesced engine
   refreshes: ``batch_size`` ∈ {1, 2, 3, 6} against per-op refreshes
   and against a rebuild-per-batch driver, refresh phase time compared
@@ -29,116 +18,17 @@ perf-trajectory gate tracks its ratio metrics.
 
 from __future__ import annotations
 
-import heapq
 import json
-import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.inference.horn import HornEngine, seed_rebuild_crossover
 from repro.workloads.churn import run_churn_workload
-from repro.workloads.generator import wide_program
 from repro.workloads.paper_example import generate_transport_articulation
 
 RESULTS: dict[str, object] = {"experiment": "PARALLEL", "workloads": {}}
 _JSON_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
-
-WORKER_COUNTS = (1, 2, 4)
-
-
-def _makespan(times: list[float], deps: list[set[int]], workers: int) -> float:
-    """List-schedule the stratum DAG on ``workers`` identical workers.
-
-    Exactly the dispatch discipline ParallelScheduler implements
-    (ready-queue over the dependency DAG), applied to the measured
-    serial per-stratum times.
-    """
-    n = len(times)
-    blockers = [len(dep) for dep in deps]
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for i, dep in enumerate(deps):
-        for j in dep:
-            dependents[j].append(i)
-    ready = [i for i in range(n) if not blockers[i]]
-    running: list[tuple[float, int]] = []
-    clock = 0.0
-    free = workers
-    while ready or running:
-        while ready and free:
-            i = ready.pop()
-            free -= 1
-            heapq.heappush(running, (clock + times[i], i))
-        clock, finished = heapq.heappop(running)
-        free += 1
-        for j in dependents[finished]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                ready.append(j)
-    return clock
-
-
-def _saturated_wide(workers: int) -> tuple[HornEngine, float]:
-    program = wide_program(8, 14)
-    engine = HornEngine(workers=workers, record_derivations=False)
-    engine.add_clauses(program.clauses)
-    engine.add_facts(program.facts)
-    t0 = time.perf_counter()
-    engine.saturate()
-    return engine, (time.perf_counter() - t0) * 1000.0
-
-
-def test_speedup_vs_workers(table) -> None:
-    """Independent SCC strata overlap: the DAG makespan shrinks with
-    worker count while the fact set stays bit-for-bit identical."""
-    serial, serial_wall = _saturated_wide(1)
-    serial_facts = serial.facts()
-    stratum_ms = list(serial.last_stats["stratum_ms"])
-    _, deps = serial.stratum_dag()
-    serial_sum = sum(stratum_ms)
-
-    series: dict[str, dict[str, float]] = {}
-    rows = []
-    for workers in WORKER_COUNTS:
-        if workers == 1:
-            wall_ms = serial_wall
-        else:
-            engine, wall_ms = _saturated_wide(workers)
-            assert engine.facts() == serial_facts
-            assert engine.last_stats["tasks"] >= len(stratum_ms)
-        makespan = _makespan(stratum_ms, deps, workers)
-        speedup = serial_sum / makespan if makespan else 1.0
-        series[str(workers)] = {
-            "wall_ms": round(wall_ms, 2),
-            "makespan_ms": round(makespan, 2),
-            "makespan_speedup": round(speedup, 2),
-        }
-        rows.append(
-            (
-                workers,
-                f"{wall_ms:.1f}ms",
-                f"{makespan:.1f}ms",
-                f"{speedup:.2f}x",
-            )
-        )
-    table(
-        "PARALLEL speedup vs workers (wide_program(8, 14), "
-        f"{len(stratum_ms)} strata, cpus={os.cpu_count()})",
-        ["workers", "wall", "DAG makespan", "makespan speedup"],
-        rows,
-    )
-    RESULTS["workloads"]["speedup_vs_workers"] = series
-    RESULTS["workloads"]["speedup_vs_workers_meta"] = {
-        "strata": len(stratum_ms),
-        "cpu_count": os.cpu_count(),
-        "serial_sum_ms": round(serial_sum, 2),
-        "facts": len(serial_facts),
-    }
-    assert series["4"]["makespan_speedup"] >= 2.0, (
-        f"4-worker makespan speedup {series['4']['makespan_speedup']}x "
-        "below the 2x bar"
-    )
 
 
 def test_batched_churn(table) -> None:
@@ -290,12 +180,7 @@ def test_crossover(table) -> None:
     }
 
 
-_EXPECTED_WORKLOADS = {
-    "speedup_vs_workers",
-    "speedup_vs_workers_meta",
-    "batched_churn",
-    "crossover",
-}
+_EXPECTED_WORKLOADS = {"batched_churn", "crossover"}
 
 
 def test_write_bench_json(table) -> None:

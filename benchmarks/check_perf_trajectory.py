@@ -4,7 +4,7 @@ The repo's perf story lives in the ``BENCH_*.json`` records the
 benchmark suites write.  Raw milliseconds are machine-bound, so the
 gate tracks the *ratio* metrics inside them — speedups of the
 optimized path over its baseline (indexed vs scan, incremental vs
-rerun, DRed vs rebuild, parallel makespan vs serial, ...) — which
+rerun, DRed vs rebuild, batched vs per-op churn, ...) — which
 cancel machine speed to first order and therefore compare across CI
 runners.
 
@@ -90,12 +90,6 @@ def _metrics_retraction(payload: dict) -> dict[str, float]:
 def _metrics_parallel(payload: dict) -> dict[str, float]:
     w = payload.get("workloads", {})
     out: dict[str, float | None] = {}
-    series = w.get("speedup_vs_workers", {})
-    if series:
-        top = max(series, key=lambda k: int(k))
-        out[f"parallel.makespan_speedup@{top}"] = series[top].get(
-            "makespan_speedup"
-        )
     churn = w.get("batched_churn", {})
     out["parallel.batched_churn_speedup"] = churn.get("best_speedup")
     return {k: v for k, v in out.items() if v is not None}
@@ -122,12 +116,6 @@ def _metrics_articulation(payload: dict) -> dict[str, float]:
 def _metrics_resilience(payload: dict) -> dict[str, float]:
     w = payload.get("workloads", {})
     out: dict[str, float | None] = {}
-    overhead = w.get("fault_free_overhead", {})
-    # ~1.0 when the armor is free; drops as deadline/retry machinery
-    # starts costing fault-free saturations real time
-    out["resil.faultfree_efficiency"] = _ratio(
-        overhead.get("baseline_ms"), overhead.get("hardened_ms")
-    )
     chaos = w.get("chaos_campaign", {})
     # 1.0 or the gate fails: parity under chaos is a correctness
     # property wearing a metric's clothes

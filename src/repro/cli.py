@@ -285,7 +285,6 @@ def build_server(args: argparse.Namespace):
         storage=args.storage,
         storage_path=args.storage_db,
         buffer_facts=args.buffer_facts,
-        workers=args.workers,
     )
     if args.workload == "paper":
         backend_factory = None
@@ -574,9 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-size", type=int, default=512, help="query-result LRU size"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1, help="saturation worker processes"
     )
     serve.add_argument(
         "--storage",

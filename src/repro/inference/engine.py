@@ -113,8 +113,6 @@ class OntologyInferenceEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        workers: int = 1,
-        retry_policy=None,
         fault_plan=None,
         journal=None,
     ) -> None:
@@ -128,12 +126,10 @@ class OntologyInferenceEngine:
         # (e.g. one produced by `onion ingest`); program rebuilds must
         # start from an empty store, so they get private temp files
         self._storage_path_spent = False
-        self.workers = workers
         # reliability knobs, forwarded to every HornEngine this
         # wrapper builds (including rebuilds on program change); the
         # journal makes every apply_batch a refresh routes through
         # crash-safe (the serving tier's write path)
-        self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.journal = journal
         self.engine = self._new_horn_engine()
@@ -173,8 +169,6 @@ class OntologyInferenceEngine:
             storage=self.storage,
             storage_path=path,
             buffer_facts=self.buffer_facts,
-            workers=self.workers,
-            retry_policy=self.retry_policy,
             fault_plan=self.fault_plan,
             journal=self.journal,
         )
@@ -400,14 +394,12 @@ class OntologyInferenceEngine:
         strategy: str = "seminaive",
         scheduling: str = "stratified",
         record_derivations: bool = True,
-        workers: int = 1,
     ) -> "OntologyInferenceEngine":
         """Load sources, articulation ontology, bridges and rules."""
         engine = cls(
             strategy=strategy,
             scheduling=scheduling,
             record_derivations=record_derivations,
-            workers=workers,
         )
         engine.refresh_from_articulation(articulation)
         return engine

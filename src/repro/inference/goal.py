@@ -41,7 +41,13 @@ from collections.abc import Iterable
 
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
-from repro.inference.horn import Atom, FactStore, HornEngine, is_ground
+from repro.inference.horn import (
+    Atom,
+    FactStore,
+    HornEngine,
+    is_ground,
+    require_ground,
+)
 
 __all__ = ["GoalDirectedEngine"]
 
@@ -56,16 +62,8 @@ class GoalDirectedEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        workers: int = 1,
-        retry_policy=None,
-        fault_plan=None,
     ) -> None:
         self.strategy = strategy
-        self.workers = workers
-        # reliability knobs, threaded into every goal slice so a
-        # parallel slice saturation rides the same hardened scheduler
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
         if storage == "paged":
             from repro.kb.pagestore import PagedFactStore
 
@@ -129,20 +127,15 @@ class GoalDirectedEngine:
         the memo, so interleaved churn rebuilds slices that the next
         edit throws away again; a batch pays one invalidation for the
         whole diff — and none at all when every edit was a no-op.
-        Returns ``{"added", "retracted"}`` counts.
+        Returns ``{"added", "retracted"}`` counts.  A batch holding
+        any non-ground atom raises :class:`InferenceError` before the
+        master store changes.
         """
-        retracted = 0
-        for atom in retracts:
-            if not is_ground(atom):
-                raise InferenceError(f"facts must be ground: {atom!r}")
-            if self._store.remove(atom):
-                retracted += 1
-        added = 0
-        for atom in adds:
-            if not is_ground(atom):
-                raise InferenceError(f"facts must be ground: {atom!r}")
-            if self._store.add(atom):
-                added += 1
+        adds = list(adds)
+        retracts = list(retracts)
+        require_ground(retracts + adds)
+        retracted = sum(1 for atom in retracts if self._store.remove(atom))
+        added = sum(1 for atom in adds if self._store.add(atom))
         if added or retracted:
             self._slices.clear()
         return {"added": added, "retracted": retracted}
@@ -204,9 +197,6 @@ class GoalDirectedEngine:
         # the process-wide compilation cache.
         engine = HornEngine(
             strategy=self.strategy,
-            workers=self.workers,
-            retry_policy=self.retry_policy,
-            fault_plan=self.fault_plan,
             store=FactStore(base=self._store, visible=relevant),
         )
         n_clauses = 0

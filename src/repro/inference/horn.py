@@ -7,7 +7,7 @@ Clauses to represent articulation rules.  The modular design of the
 onion system implies that we can then plug in a much lighter (and
 faster) inference engine."
 
-This module is that lighter engine — rebuilt for speed around four
+This module is that lighter engine — rebuilt for speed around these
 ideas:
 
 * **Argument-position indexes** (:class:`FactStore`): facts are hashed
@@ -25,22 +25,14 @@ ideas:
 * **Stratified scheduling**: the predicate dependency graph is split
   into SCC strata evaluated in topological order, and within a round
   only the ``(clause, body-position)`` pairs whose predicate actually
-  appears in the delta are visited.
+  appears in the delta are visited.  Strata run serially in the
+  calling process: shipping predicate partitions to worker processes
+  cost more than it saved on the mediator's own programs.
 * **Incremental (delta) saturation**: after a fixpoint,
   :meth:`HornEngine.add_fact` / :meth:`HornEngine.add_clause` enqueue
   deltas; the next query propagates only those deltas through the
   strata instead of re-running saturation from scratch.  The result is
   guaranteed (and property-tested) to equal from-scratch saturation.
-* **Parallel saturation over independent strata**
-  (:class:`ParallelScheduler`): the Tarjan stratification is extended
-  to a stratum *dependency DAG*; strata with no path between them are
-  dispatched to a process pool (compiled plans and the relevant fact
-  partition are pickled across; every head predicate belongs to
-  exactly one stratum, so partitions never conflict) and their
-  conclusions merge into the master store at the join points.
-  ``workers=1`` — the default — keeps everything serial and
-  allocation-free; the parallel result is property-tested equal to the
-  serial one.
 * **Batched churn with an auto-tuned rebuild crossover**
   (:meth:`HornEngine.apply_batch`): a whole shrink+grow batch queues
   first and pays *one* overdelete/rederive/propagate pass instead of
@@ -77,23 +69,17 @@ the expert; §2.4 requires the expert to vet what the system concluded.
 
 from __future__ import annotations
 
-import atexit
 import json
-import os
-import time
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from concurrent import futures as _futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from time import monotonic, perf_counter
+from time import perf_counter
 
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
-from repro.reliability.faults import FaultInjected, FaultPlan, TaskFault
+from repro.reliability.faults import FaultInjected, FaultPlan
 from repro.reliability.journal import ChurnJournal
-from repro.reliability.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "Atom",
@@ -101,7 +87,6 @@ __all__ = [
     "DEFAULT_REBUILD_CROSSOVER",
     "FactStore",
     "HornEngine",
-    "ParallelScheduler",
     "compile_clause",
     "is_variable",
     "seed_rebuild_crossover",
@@ -120,6 +105,17 @@ def is_variable(symbol: str) -> bool:
 
 def is_ground(atom: Atom) -> bool:
     return not any(is_variable(arg) for arg in atom[1:])
+
+
+def require_ground(atoms: Iterable[Atom]) -> None:
+    """Raise :class:`InferenceError` unless every atom is ground.
+
+    Batch entry points call this on the whole batch before they
+    journal or mutate anything, so a rejected batch leaves no trace.
+    """
+    for atom in atoms:
+        if not is_ground(atom):
+            raise InferenceError(f"facts must be ground: {atom!r}")
 
 
 def substitute(atom: Atom, binding: Mapping[str, str]) -> Atom:
@@ -701,389 +697,6 @@ def _stratify(compiled: list[CompiledClause]) -> list[list[CompiledClause]]:
     return [stratum for stratum in strata if stratum]
 
 
-def _stratum_dag(
-    compiled: list[CompiledClause],
-) -> tuple[list[list[CompiledClause]], list[set[int]]]:
-    """The SCC strata plus their dependency DAG.
-
-    ``deps[i]`` holds the indices of the (earlier, by topological
-    construction) strata whose head predicates feed stratum ``i``'s
-    bodies.  Strata with no path between them in this DAG touch
-    disjoint derived predicates and may saturate concurrently; a
-    stratum is runnable once every index in ``deps[i]`` has completed.
-    Every clause lands in the stratum of its head predicate, so each
-    derived predicate has exactly one owning stratum — the property
-    that makes parallel partitions write-conflict-free.
-    """
-    strata = _stratify(compiled)
-    owner: dict[str, int] = {}
-    for i, stratum in enumerate(strata):
-        for cc in stratum:
-            owner[cc.head_pred] = i
-    deps: list[set[int]] = []
-    for i, stratum in enumerate(strata):
-        need: set[int] = set()
-        for cc in stratum:
-            for pred in cc.body_preds:
-                j = owner.get(pred)
-                if j is not None and j != i:
-                    need.add(j)
-        deps.append(need)
-    return strata, deps
-
-
-# ----------------------------------------------------------------------
-# parallel saturation: process-pool dispatch over independent strata
-# ----------------------------------------------------------------------
-def _saturate_stratum_task(
-    payload: tuple,
-) -> tuple[list[Atom], list[tuple[Atom, int, tuple[Atom, ...]]], dict[str, int]]:
-    """Process-pool task: saturate one stratum over a shipped partition.
-
-    The payload carries the stratum's compiled clauses, the facts of
-    every predicate the stratum reads or writes, an optional delta
-    shard (incremental mode), and whether to report derivations.  A
-    private store/engine pair evaluates the stratum to its fixpoint;
-    back across the pickle boundary go the new facts, their
-    derivations as ``(fact, clause-index-in-stratum, premises)``
-    triples (clause objects stay on the parent side), and the work
-    counters to fold into the parent's stats.
-
-    An optional fifth payload element is a chaos-testing
-    :class:`~repro.reliability.faults.TaskFault` directive: ``crash``
-    hard-exits the worker (the parent sees ``BrokenProcessPool``),
-    ``hang``/``slow`` sleep (tripping — or staying inside — the
-    scheduler's per-task deadline), ``error`` raises (the stand-in for
-    pickle/transport failures, which surface identically).
-    """
-    stratum, facts, delta_items, record, *rest = payload
-    fault: TaskFault | None = rest[0] if rest else None
-    if fault is not None:
-        if fault.kind == "crash":
-            os._exit(13)  # simulate the worker process dying mid-task
-        if fault.kind in ("hang", "slow"):
-            time.sleep(fault.seconds)
-        elif fault.kind == "error":
-            raise FaultInjected("injected stratum-task failure")
-    stratum = list(stratum)
-    store = FactStore()
-    for atom in facts:
-        store.add(atom)
-    engine = HornEngine(record_derivations=record, store=store)
-    if delta_items is None:
-        delta0 = engine._initial_delta(stratum)
-    else:
-        delta0 = {pred: set(members) for pred, members in delta_items}
-    new, _ = engine._eval_stratum(stratum, delta0)
-    derivations: list[tuple[Atom, int, tuple[Atom, ...]]] = []
-    if record:
-        index_of = {cc.clause: i for i, cc in enumerate(stratum)}
-        for fact in new:
-            derivation = engine._derivations.get(fact)
-            if derivation is not None:
-                derivations.append(
-                    (fact, index_of[derivation.clause], derivation.premises)
-                )
-    stats = engine.last_stats
-    counters = {
-        key: stats[key]
-        for key in ("rounds", "activations", "index_probes", "candidates")
-    }
-    return new, derivations, counters
-
-
-_POOL_CACHE: dict[int, _futures.ProcessPoolExecutor] = {}
-
-
-def _pool_unusable(pool: _futures.ProcessPoolExecutor) -> bool:
-    """Is this executor broken or shut down (submit would raise)?
-
-    ``_broken`` carries the BrokenProcessPool message after a worker
-    died; ``_shutdown_thread`` flips once shutdown() ran.  Both are
-    CPython implementation details, so absence reads as healthy — the
-    worst case is the pre-check behavior (submit raises and the
-    scheduler's recovery path respawns).
-    """
-    return bool(getattr(pool, "_broken", False)) or bool(
-        getattr(pool, "_shutdown_thread", False)
-    )
-
-
-def _shared_pool(workers: int) -> _futures.ProcessPoolExecutor:
-    """One process pool per worker count, reused across saturations.
-
-    Workers are stateless (every task ships its whole input), so the
-    pool can be shared by every engine in the process and the fork
-    cost is paid once per worker count, not once per query.  A cached
-    pool that broke (a worker crashed) or was shut down is evicted and
-    replaced here, so one crash never poisons later parallel runs.
-    """
-    pool = _POOL_CACHE.get(workers)
-    if pool is not None and _pool_unusable(pool):
-        _evict_pool(workers, pool)
-        pool = None
-    if pool is None:
-        pool = _futures.ProcessPoolExecutor(max_workers=workers)
-        _POOL_CACHE[workers] = pool
-    return pool
-
-
-def _evict_pool(
-    workers: int, pool: _futures.ProcessPoolExecutor | None = None
-) -> bool:
-    """Drop (and shut down) the cached pool for ``workers``.
-
-    When ``pool`` is given, evict only if the cache still holds that
-    exact executor — two schedulers discovering the same broken pool
-    must not tear down its freshly spawned replacement.  Returns True
-    when an entry was evicted.
-    """
-    cached = _POOL_CACHE.get(workers)
-    if cached is None or (pool is not None and cached is not pool):
-        return False
-    del _POOL_CACHE[workers]
-    cached.shutdown(wait=False, cancel_futures=True)
-    return True
-
-
-def _shutdown_pools() -> None:
-    """Tear the cached pools down before interpreter shutdown.
-
-    Executors left to die with the process race module teardown in
-    their management threads; an explicit early shutdown keeps exits
-    clean."""
-    for pool in _POOL_CACHE.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOL_CACHE.clear()
-
-
-atexit.register(_shutdown_pools)
-
-
-class ParallelScheduler:
-    """Dispatch independent SCC strata of an engine to a process pool.
-
-    Drives the stratum dependency DAG as a ready-queue: any stratum
-    whose dependencies have all completed is submitted immediately, so
-    independent chains overlap and the makespan is bounded by the
-    DAG's critical path rather than the serial sum.  Each task ships
-    the stratum's compiled plans plus the fact partition its body and
-    head predicates touch; completions merge new conclusions into the
-    master store at the join points, which unblocks dependents.
-
-    In delta mode (``run(by_pred)``) each stratum receives only its
-    shard of the queued deltas and its conclusions extend the shared
-    delta map — the parallel twin of
-    :meth:`HornEngine._push_stratum`, with the same topological
-    guarantee: a stratum's input shard is final once its dependencies
-    have completed, because only they (or the EDB seeds) can feed its
-    body predicates.
-
-    The scheduler survives its workers.  Every task carries a
-    deadline (:attr:`RetryPolicy.task_timeout`); a task that times
-    out, dies with its worker (``BrokenProcessPool``), is cancelled by
-    a pool respawn, or raises is retried up to
-    :attr:`RetryPolicy.max_retries` times with exponential backoff —
-    respawning the shared pool when it broke or when a hung worker may
-    never free its slot.  A stratum that exhausts its retries is
-    *degraded*: re-run serially in-process through the exact code path
-    the ``workers=1`` engine uses, so ``workers=N`` can only ever
-    change speed, never results.  ``last_stats`` reports the ride
-    honestly: ``retries`` / ``timeouts`` / ``pool_respawns`` /
-    ``degraded_strata``.
-    """
-
-    def __init__(self, engine: HornEngine, workers: int) -> None:
-        if workers < 1:
-            raise InferenceError(f"workers must be >= 1, got {workers!r}")
-        self.engine = engine
-        self.workers = workers
-        self.retry_policy = engine.retry_policy or DEFAULT_RETRY_POLICY
-        self.fault_plan = engine.fault_plan
-
-    def run(self, by_pred: dict[str, set[Atom]] | None = None) -> int:
-        """Saturate (``by_pred=None``) or push deltas; returns #derived."""
-        engine = self.engine
-        store = engine._store
-        stats = engine.last_stats
-        strata, deps = engine.stratum_dag()
-        stats["strata"] = len(strata)
-        if not strata:
-            return 0
-        incremental = by_pred is not None
-        record = engine.record_derivations
-        policy = self.retry_policy
-        plan = self.fault_plan
-        n = len(strata)
-        blockers = [len(dep) for dep in deps]
-        dependents: list[list[int]] = [[] for _ in range(n)]
-        for i, dep in enumerate(deps):
-            for j in dep:
-                dependents[j].append(i)
-        body_preds: list[set[str]] = []
-        ship_preds: list[list[str]] = []
-        for stratum in strata:
-            body: set[str] = set()
-            for cc in stratum:
-                body |= cc.body_preds
-            body_preds.append(body)
-            ship_preds.append(
-                sorted(body | {cc.head_pred for cc in stratum})
-            )
-        derived = 0
-        ready = [i for i in range(n) if not blockers[i]]
-        in_flight: dict[_futures.Future, int] = {}
-        deadlines: dict[_futures.Future, float] = {}
-        attempts = [0] * n
-        pool = _shared_pool(self.workers)
-
-        def release(i: int) -> None:
-            for j in dependents[i]:
-                blockers[j] -= 1
-                if not blockers[j]:
-                    ready.append(j)
-
-        def respawn() -> None:
-            """Replace the (broken or hung) shared pool with a fresh one.
-
-            Eviction is identity-guarded, so two discoveries of the
-            same dead pool respawn once; pending tasks on the old pool
-            are cancelled (their strata retry on the new pool) while
-            already-running ones may still complete and merge normally.
-            """
-            nonlocal pool
-            if _evict_pool(self.workers, pool):
-                stats["pool_respawns"] += 1
-            pool = _shared_pool(self.workers)
-
-        def degrade(i: int) -> None:
-            """Retries exhausted: run the stratum serially in-process.
-
-            Exactly the serial engine's own evaluation — same store,
-            same delta discipline — so degradation preserves the
-            parity contract by construction.
-            """
-            nonlocal derived
-            stats["degraded_strata"] += 1
-            if incremental:
-                derived += engine._push_stratum(strata[i], by_pred)
-            else:
-                new, _ = engine._eval_stratum(
-                    strata[i], engine._initial_delta(strata[i])
-                )
-                derived += len(new)
-            release(i)
-
-        def failed(i: int) -> None:
-            attempts[i] += 1
-            if attempts[i] > policy.max_retries:
-                degrade(i)
-                return
-            stats["retries"] += 1
-            delay = policy.delay(attempts[i] - 1)
-            if delay:
-                time.sleep(delay)
-            ready.append(i)
-
-        def dispatch(i: int) -> None:
-            delta_items = None
-            if incremental:
-                delta_items = tuple(
-                    (pred, tuple(sorted(by_pred[pred])))
-                    for pred in sorted(body_preds[i])
-                    if by_pred.get(pred)
-                )
-                if not delta_items:  # no delta reaches this stratum
-                    release(i)
-                    return
-            facts = [
-                fact
-                for pred in ship_preds[i]
-                for fact in store.pool(pred)
-            ]
-            stats["tasks"] += 1
-            stats["shipped_facts"] += len(facts)
-            fault = plan.task_fault() if plan is not None else None
-            payload = (tuple(strata[i]), facts, delta_items, record, fault)
-            try:
-                future = pool.submit(_saturate_stratum_task, payload)
-            except (BrokenProcessPool, RuntimeError):
-                # the pool died between health check and submit
-                respawn()
-                failed(i)
-                return
-            in_flight[future] = i
-            if policy.task_timeout is not None:
-                deadlines[future] = monotonic() + policy.task_timeout
-
-        while ready or in_flight:
-            while ready:
-                dispatch(ready.pop())
-            if not in_flight:
-                continue  # releases/degradations may have refilled ready
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - monotonic())
-            done, _ = _futures.wait(
-                in_flight, timeout=timeout,
-                return_when=_futures.FIRST_COMPLETED,
-            )
-            if not done:
-                # nothing completed before the nearest deadline: time
-                # out every overdue task and retry it elsewhere
-                now = monotonic()
-                expired = [
-                    future
-                    for future, deadline in deadlines.items()
-                    if future in in_flight and deadline <= now
-                ]
-                if expired and policy.respawn_on_timeout:
-                    # a hung worker may never free its slot — tear the
-                    # pool down so retries do not queue behind it
-                    respawn()
-                for future in expired:
-                    i = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    stats["timeouts"] += 1
-                    failed(i)
-                continue
-            for future in done:
-                i = in_flight.pop(future)
-                deadlines.pop(future, None)
-                try:
-                    new, derivations, counters = future.result()
-                except BrokenProcessPool:
-                    respawn()
-                    failed(i)
-                    continue
-                except _futures.CancelledError:
-                    # collateral of a respawn's cancel_futures
-                    failed(i)
-                    continue
-                except Exception:
-                    # injected task error, pickle/transport failure, or
-                    # a genuine bug — retries first, and the serial
-                    # degradation pass will surface anything
-                    # deterministic in-process
-                    failed(i)
-                    continue
-                for fact in new:
-                    if store.add(fact):
-                        derived += 1
-                        if incremental:
-                            by_pred.setdefault(fact[0], set()).add(fact)
-                for fact, clause_index, premises in derivations:
-                    engine._record_new(
-                        strata[i][clause_index], fact, premises
-                    )
-                for key, value in counters.items():
-                    stats[key] += value
-                release(i)
-        if derived:
-            engine._derived_ever = True
-        return derived
-
-
 # ----------------------------------------------------------------------
 # the DRed-vs-rebuild crossover: seeded from the benchmark, tunable
 # ----------------------------------------------------------------------
@@ -1147,12 +760,6 @@ def _new_stats(mode: str) -> dict[str, int | str]:
         "derived": 0,
         "overdeleted": 0,  # facts removed by the DRed overdelete pass
         "rederived": 0,  # overdeleted facts restored by rederivation
-        "tasks": 0,  # strata dispatched to the process pool
-        "shipped_facts": 0,  # facts pickled across to workers
-        "retries": 0,  # failed/timed-out tasks re-dispatched
-        "timeouts": 0,  # tasks that blew their per-task deadline
-        "pool_respawns": 0,  # broken/hung pools torn down and replaced
-        "degraded_strata": 0,  # strata re-run serially after retries
     }
 
 
@@ -1175,26 +782,21 @@ class HornEngine:
     engine never looks at which one it got: both stores answer the
     same (predicate, position, value) index contract.
 
-    ``workers`` above 1 dispatches independent SCC strata to a shared
-    process pool (:class:`ParallelScheduler`) during full and
-    incremental semi-naive saturation; the derived-fact set is
-    identical to the serial engine's.  ``rebuild_crossover`` is the
-    batch-retraction count at which :meth:`apply_batch` switches from
-    the DRed pass to a full rebuild — defaults to the figure recorded
-    in the checked-in retraction benchmark
-    (:func:`seed_rebuild_crossover`), and
+    Evaluation is serial: strata run one after another in the calling
+    process.  ``rebuild_crossover`` is the batch-retraction count at
+    which :meth:`apply_batch` switches from the DRed pass to a full
+    rebuild — defaults to the figure recorded in the checked-in
+    retraction benchmark (:func:`seed_rebuild_crossover`), and
     :meth:`calibrate_rebuild_crossover` re-measures it on the current
     machine.
 
-    Reliability knobs: ``retry_policy`` governs the parallel
-    scheduler's per-task timeout, bounded retries, and backoff
-    (``None`` takes :data:`~repro.reliability.policy.DEFAULT_RETRY_POLICY`);
     ``fault_plan`` threads seeded chaos-testing faults through the
-    runtime's injection hooks (``None`` — the default — injects
-    nothing and costs a single identity check per site); ``journal``
-    attaches a :class:`~repro.reliability.journal.ChurnJournal` that
-    makes :meth:`apply_batch` crash-safe by write-ahead logging every
-    diff before it mutates the engine.
+    ``batch_crash`` hook in :meth:`apply_batch` (``None`` — the
+    default — injects nothing and costs a single identity check);
+    ``journal`` attaches a
+    :class:`~repro.reliability.journal.ChurnJournal` that makes
+    :meth:`apply_batch` crash-safe by write-ahead logging every diff
+    before it mutates the engine.
     """
 
     def __init__(
@@ -1207,9 +809,7 @@ class HornEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        workers: int = 1,
         rebuild_crossover: int | None = None,
-        retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         journal: ChurnJournal | None = None,
     ) -> None:
@@ -1219,21 +819,17 @@ class HornEngine:
             raise InferenceError(f"unknown scheduling {scheduling!r}")
         if storage not in ("memory", "paged"):
             raise InferenceError(f"unknown storage backend {storage!r}")
-        if workers < 1:
-            raise InferenceError(f"workers must be >= 1, got {workers!r}")
         self.strategy = strategy
         self.scheduling = scheduling
         self.record_derivations = record_derivations
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        self.workers = workers
         self.rebuild_crossover = (
             seed_rebuild_crossover()
             if rebuild_crossover is None
             else rebuild_crossover
         )
-        self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.journal = journal
         self.last_calibration: list[dict[str, float]] = []
@@ -1257,7 +853,6 @@ class HornEngine:
         self._pending_clause_retractions: list[CompiledClause] = []
         self._needs_rebuild = False
         self._strata: list[list[CompiledClause]] | None = None
-        self._stratum_deps: list[set[int]] | None = None
         self.last_stats: dict[str, int | str] = _new_stats("idle")
 
     def _new_store(self) -> FactStore:
@@ -1373,7 +968,6 @@ class HornEngine:
         del self._clauses[position]
         compiled = self._compiled.pop(position)
         self._strata = None
-        self._stratum_deps = None
         if compiled in self._pending_clauses:
             self._pending_clauses.remove(compiled)
             return True
@@ -1415,7 +1009,6 @@ class HornEngine:
         self._clauses.append(clause)
         self._compiled.append(compiled)
         self._strata = None
-        self._stratum_deps = None
         if self._saturated:
             if self.strategy == "seminaive":
                 self._pending_clauses.append(compiled)
@@ -1540,28 +1133,17 @@ class HornEngine:
     # evaluation
     # ------------------------------------------------------------------
     def _schedule(self) -> list[list[CompiledClause]]:
-        return self.stratum_dag()[0]
-
-    def stratum_dag(
-        self,
-    ) -> tuple[list[list[CompiledClause]], list[set[int]]]:
-        """The stratum schedule and its dependency DAG (cached).
-
-        Under ``flat`` scheduling the whole program is one stratum with
-        no dependencies; under ``stratified`` this is
-        :func:`_stratum_dag` over the compiled program.
-        """
-        if self._strata is None or self._stratum_deps is None:
+        """The stratum schedule (cached): :func:`_stratify` over the
+        compiled program under ``stratified`` scheduling, the whole
+        program as one stratum under ``flat``."""
+        if self._strata is None:
             if self.scheduling == "stratified":
-                self._strata, self._stratum_deps = _stratum_dag(
-                    self._compiled
-                )
+                self._strata = _stratify(self._compiled)
             else:
                 self._strata = (
                     [list(self._compiled)] if self._compiled else []
                 )
-                self._stratum_deps = [set() for _ in self._strata]
-        return self._strata, self._stratum_deps
+        return self._strata
 
     def _record_new(
         self,
@@ -1642,26 +1224,17 @@ class HornEngine:
         at_fixpoint = True
         if max_rounds is None:
             strata = self._schedule()
-            if self.workers > 1 and len(strata) > 1:
-                derived = ParallelScheduler(self, self.workers).run()
-                return derived, True
         else:
             # bounded runs use flat scheduling so "a round" means the
             # same thing under both strategies (see saturate()).
             strata = [list(self._compiled)] if self._compiled else []
         self.last_stats["strata"] = len(strata)
-        stratum_ms: list[float] = []
         for stratum in strata:
-            started = perf_counter()
             new, fixed = self._eval_stratum(
                 stratum, self._initial_delta(stratum), max_rounds
             )
-            stratum_ms.append((perf_counter() - started) * 1000.0)
             derived += len(new)
             at_fixpoint = at_fixpoint and fixed
-        # per-stratum wall time: the parallel scheduler's makespan is
-        # bounded by the critical path over exactly these figures.
-        self.last_stats["stratum_ms"] = stratum_ms
         return derived, at_fixpoint
 
     def _saturate_naive(self, max_rounds: int | None) -> tuple[int, bool]:
@@ -1726,10 +1299,6 @@ class HornEngine:
             by_pred.setdefault(fact[0], set()).add(fact)
         strata = self._schedule()
         self.last_stats["strata"] = len(strata)
-        if self.workers > 1 and len(strata) > 1 and by_pred:
-            return derived + ParallelScheduler(self, self.workers).run(
-                by_pred
-            )
         for stratum in strata:
             derived += self._push_stratum(stratum, by_pred)
         return derived
@@ -2030,14 +1599,19 @@ class HornEngine:
         :meth:`ChurnJournal.recover` replays the journal to the
         fixpoint this batch was driving toward.  The report then
         carries the batch's ``journal_seq``.
+
+        A batch holding any non-ground atom raises
+        :class:`InferenceError` before anything is journaled or
+        mutated.
         """
+        # materialize first: the batch is read once to check it, once
+        # to journal it and once to apply it
+        adds = list(adds)
+        retracts = list(retracts)
+        require_ground(retracts + adds)
         journal = self.journal
         seq: int | None = None
         if journal is not None:
-            # materialize before journaling: the iterables are
-            # consumed twice (once to disk, once into the engine)
-            adds = list(adds)
-            retracts = list(retracts)
             seq = journal.begin(adds, retracts)
         if self.fault_plan is not None and self.fault_plan.batch_crash():
             # chaos hook: the diff is journaled, the engine untouched —

@@ -1,15 +1,12 @@
 """Reliability layer: fault injection, retry policy, churn journal.
 
-The inference runtime treats worker failure and degraded operation as
-the normal case (the mediator-anatomy lesson): the parallel stratum
-scheduler retries, times out, respawns its pool, and degrades to a
-serial in-process run rather than ever changing results; batched churn
-write-ahead journals its diffs so a crash mid-batch replays to the
-last consistent fixpoint; the SQLite backend waits out and retries
-locked databases.  This package holds the three shared pieces:
+Batched churn write-ahead journals its diffs so a crash mid-batch
+replays to the last consistent fixpoint, and the SQLite backend waits
+out and retries locked databases.  This package holds the three
+shared pieces:
 
 * :class:`~repro.reliability.policy.RetryPolicy` — deterministic
-  bounded retry/backoff/timeout knobs;
+  bounded retry/backoff knobs;
 * :class:`~repro.reliability.faults.FaultPlan` — seeded, replayable
   fault injection threaded through test-only hooks in the engine and
   the backend;
@@ -17,21 +14,11 @@ locked databases.  This package holds the three shared pieces:
   log behind crash-safe :meth:`HornEngine.apply_batch`.
 """
 
-from repro.reliability.faults import (
-    FAULT_SITES,
-    FaultInjected,
-    FaultPlan,
-    TaskFault,
-)
+from repro.reliability.faults import FAULT_SITES, FaultInjected, FaultPlan
 from repro.reliability.journal import ChurnJournal, JournalError
-from repro.reliability.policy import (
-    DEFAULT_RETRY_POLICY,
-    SQLITE_RETRY_POLICY,
-    RetryPolicy,
-)
+from repro.reliability.policy import SQLITE_RETRY_POLICY, RetryPolicy
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "FAULT_SITES",
     "SQLITE_RETRY_POLICY",
     "ChurnJournal",
@@ -39,5 +26,4 @@ __all__ = [
     "FaultPlan",
     "JournalError",
     "RetryPolicy",
-    "TaskFault",
 ]

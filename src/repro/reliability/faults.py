@@ -1,26 +1,17 @@
 """Deterministic, seedable fault injection for chaos testing.
 
 A :class:`FaultPlan` is the single source of simulated trouble in the
-runtime: the parallel scheduler asks it whether the next stratum task
-should crash its worker, hang past the deadline, or fail; the SQLite
-backend asks it whether the next statement should see a locked
-database; :meth:`~repro.inference.horn.HornEngine.apply_batch` asks it
-whether the process should "die" between journaling a diff and
-applying it.  Every decision comes from a per-site
-:class:`random.Random` stream derived from one seed, so a chaos run
-replays bit-for-bit: same seed, same faults, same recovery path.
+runtime: the SQLite backend asks it whether the next statement should
+see a locked database;
+:meth:`~repro.inference.horn.HornEngine.apply_batch` asks it whether
+the process should "die" between journaling a diff and applying it.
+Every decision comes from a per-site :class:`random.Random` stream
+derived from one seed, so a chaos run replays bit-for-bit: same seed,
+same faults, same recovery path.
 
 Fault *sites* (the strings the hooks draw on):
 
 ========================  ====================================================
-``worker_crash``          the pool worker hard-exits mid-task (the parent
-                          sees ``BrokenProcessPool``)
-``task_hang``             the task sleeps ``hang_seconds`` before finishing
-                          (trips the scheduler's per-task deadline)
-``task_error``            the task raises — the stand-in for pickle/transport
-                          failures, which surface to the parent identically
-``task_slow``             the task sleeps ``slow_seconds`` but finishes in
-                          time (exercises the happy path under load)
 ``sqlite_lock``           the next statement raises ``OperationalError:
                           database is locked`` before reaching SQLite
 ``batch_crash``           ``apply_batch`` aborts after the write-ahead
@@ -39,7 +30,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from repro.errors import OnionError
 
@@ -47,34 +37,13 @@ __all__ = [
     "FAULT_SITES",
     "FaultInjected",
     "FaultPlan",
-    "TaskFault",
 ]
 
-FAULT_SITES = (
-    "worker_crash",
-    "task_hang",
-    "task_error",
-    "task_slow",
-    "sqlite_lock",
-    "batch_crash",
-)
+FAULT_SITES = ("sqlite_lock", "batch_crash")
 
 
 class FaultInjected(OnionError):
     """An injected fault fired (never raised outside chaos testing)."""
-
-
-@dataclass(frozen=True, slots=True)
-class TaskFault:
-    """A picklable directive shipped inside a stratum-task payload.
-
-    ``kind`` is ``crash`` / ``hang`` / ``error`` / ``slow``; ``seconds``
-    is the sleep for the timed kinds.  The worker-side hook in
-    :func:`repro.inference.horn._saturate_stratum_task` interprets it.
-    """
-
-    kind: str
-    seconds: float = 0.0
 
 
 class FaultPlan:
@@ -93,8 +62,6 @@ class FaultPlan:
         *,
         rates: Mapping[str, float] | None = None,
         script: Mapping[str, Iterable[int]] | None = None,
-        hang_seconds: float = 0.25,
-        slow_seconds: float = 0.01,
         max_fires: int | None = None,
     ) -> None:
         self.seed = seed
@@ -109,8 +76,6 @@ class FaultPlan:
                     f"unknown fault site {site!r}; "
                     f"known sites: {', '.join(FAULT_SITES)}"
                 )
-        self.hang_seconds = hang_seconds
-        self.slow_seconds = slow_seconds
         self.max_fires = max_fires
         # Independent per-site streams: drawing at one site never
         # shifts another site's sequence, so adding a hook upstream
@@ -153,22 +118,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # the hooks the runtime draws on
     # ------------------------------------------------------------------
-    def task_fault(self) -> TaskFault | None:
-        """The directive for the next dispatched stratum task, if any.
-
-        At most one fault per task; sites are consulted in severity
-        order and each consumes its own draw.
-        """
-        if self.fire("worker_crash"):
-            return TaskFault("crash")
-        if self.fire("task_hang"):
-            return TaskFault("hang", self.hang_seconds)
-        if self.fire("task_error"):
-            return TaskFault("error")
-        if self.fire("task_slow"):
-            return TaskFault("slow", self.slow_seconds)
-        return None
-
     def sqlite_fault(self) -> bool:
         """Should the next SQLite statement see a locked database?"""
         return self.fire("sqlite_lock")

@@ -267,7 +267,7 @@ class ChurnJournal:
         Folds the latest snapshot and every durable batch — committed
         and pending alike; a durable begin record is a promise the diff
         survives the crash — into a fresh :class:`HornEngine`
-        (constructed with ``engine_kwargs``, e.g. ``workers=4``),
+        (constructed with ``engine_kwargs``, e.g. ``storage="paged"``),
         saturates it, then commits the replayed pending batches so a
         second recovery is a no-op.  Returns the engine and a report:
         ``batches`` (diffs folded), ``replayed_pending`` (how many were

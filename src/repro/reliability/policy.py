@@ -1,10 +1,8 @@
-"""Retry/timeout policy for the fault-tolerant runtime.
+"""Retry policy for the SQLite backend's locked-database loop.
 
-One small value object shared by every component that retries —
-the parallel stratum scheduler, the SQLite backend's locked-database
-loop, and anything a future serving layer adds.  Delays are fully
-deterministic (exponential, capped, no jitter) so chaos tests replay
-bit-for-bit.
+One small value object: how many times to retry and how long to back
+off.  Delays are fully deterministic (exponential, capped, no jitter)
+so chaos tests replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,28 +11,20 @@ from dataclasses import dataclass
 
 from repro.errors import OnionError
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "SQLITE_RETRY_POLICY"]
+__all__ = ["RetryPolicy", "SQLITE_RETRY_POLICY"]
 
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """How often, how long, and how patiently to retry.
+    """How often and how patiently to retry.
 
     ``max_retries`` bounds *re*-attempts: an operation runs at most
-    ``max_retries + 1`` times before the caller falls back (the
-    scheduler degrades to a serial in-process run, the SQLite backend
-    re-raises).  ``task_timeout`` is the per-task wall-clock budget in
-    seconds — ``None`` disables deadline tracking entirely, restoring
-    the wait-forever behavior.  ``respawn_on_timeout`` controls
-    whether a timed-out (possibly hung) worker pool is torn down and
-    respawned, or left to finish while the task is retried elsewhere.
+    ``max_retries + 1`` times before the caller re-raises.
     """
 
     max_retries: int = 2
     backoff_base: float = 0.01
     backoff_cap: float = 0.25
-    task_timeout: float | None = 30.0
-    respawn_on_timeout: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -43,25 +33,16 @@ class RetryPolicy:
             )
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise OnionError("backoff delays must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise OnionError(
-                f"task_timeout must be positive or None, "
-                f"got {self.task_timeout!r}"
-            )
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait before re-attempt ``attempt`` (0-based)."""
         return min(self.backoff_cap, self.backoff_base * (2.0**attempt))
 
 
-DEFAULT_RETRY_POLICY = RetryPolicy()
-"""Scheduler default: 2 retries, 10ms doubling backoff, 30s timeout."""
-
 SQLITE_RETRY_POLICY = RetryPolicy(
     max_retries=4,
     backoff_base=0.005,
     backoff_cap=0.1,
-    task_timeout=None,
 )
 """Backend default: more, shorter retries; SQLite's own busy_timeout
 already absorbs sub-second lock contention, so this loop only sees

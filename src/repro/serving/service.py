@@ -124,8 +124,6 @@ class ArticulationService:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        workers: int = 1,
-        retry_policy=None,
         fault_plan=None,
     ) -> None:
         self.pushdown = pushdown
@@ -133,8 +131,6 @@ class ArticulationService:
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        self.workers = workers
-        self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.snapshot_every = snapshot_every
 
@@ -173,8 +169,6 @@ class ArticulationService:
                     storage=storage,
                     storage_path=storage_path,
                     buffer_facts=buffer_facts,
-                    workers=workers,
-                    retry_policy=retry_policy,
                     fault_plan=fault_plan,
                 )
                 self._recovered = horn
@@ -290,8 +284,6 @@ class ArticulationService:
         self._inference = OntologyInferenceEngine(
             storage=self.storage,
             buffer_facts=self.buffer_facts,
-            workers=self.workers,
-            retry_policy=self.retry_policy,
             fault_plan=self.fault_plan,
             journal=self.journal,
         )

@@ -1,15 +1,14 @@
 """Chaos campaigns: churn under seeded fault injection, oracle-checked.
 
 The maintenance experiments (paper §5.3, §6) assume the inference
-runtime survives its environment: worker processes die, tasks hang,
-the persistence layer throws transient lock errors, and the process
-itself can crash between journaling a churn batch and reaching its
-fixpoint.  :func:`run_chaos_campaign` drives a deterministic batched
-churn workload through an engine configured with a
+runtime survives its environment: the process can crash between
+journaling a churn batch and reaching its fixpoint.
+:func:`run_chaos_campaign` drives a deterministic batched churn
+workload through an engine configured with a
 :class:`~repro.reliability.faults.FaultPlan` and proves the robustness
-contract end to end: after every injected crash, hang, retry, and
-journal recovery, the final fact set is **bit-for-bit equal** to a
-fault-free from-scratch oracle over the same surviving base facts.
+contract end to end: after every injected crash and journal recovery,
+the final fact set is **bit-for-bit equal** to a fault-free
+from-scratch oracle over the same surviving base facts.
 
 Everything is seeded — the batches, the fault plan's per-site RNG
 streams — so a failing campaign replays exactly.
@@ -24,12 +23,7 @@ from time import perf_counter
 
 from repro.core.rules import HornClause
 from repro.inference.horn import Atom, HornEngine
-from repro.reliability import (
-    ChurnJournal,
-    FaultInjected,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.reliability import ChurnJournal, FaultInjected, FaultPlan
 
 __all__ = [
     "CHAOS_CLAUSES",
@@ -39,9 +33,8 @@ __all__ = [
 ]
 
 # A recursive program small enough to saturate per batch but deep
-# enough that stratified parallel scheduling has real strata to ship:
-# subclass transitivity, the lift into implication, implication
-# transitivity, and instance inheritance.
+# enough to span several strata: subclass transitivity, the lift into
+# implication, implication transitivity, and instance inheritance.
 CHAOS_CLAUSES: tuple[HornClause, ...] = (
     HornClause(("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z"))),
     HornClause(("implies", "?x", "?y"), (("S", "?x", "?y"),)),
@@ -104,11 +97,7 @@ class ChaosResult:
     facts: int
     oracle_facts: int
     elapsed_ms: float
-    scheduler_stats: dict[str, int] = field(default_factory=dict)
     fault_summary: dict[str, dict[str, int]] = field(default_factory=dict)
-
-
-_SCHED_KEYS = ("retries", "timeouts", "pool_respawns", "degraded_strata")
 
 
 def _oracle_facts(
@@ -117,7 +106,7 @@ def _oracle_facts(
 ) -> set[Atom]:
     """Fault-free ground truth: fold the diffs with plain set
     semantics (retract-then-add, matching ``apply_batch``) and
-    saturate a fresh serial engine from scratch."""
+    saturate a fresh engine from scratch."""
     base: set[Atom] = set()
     for adds, retracts in batch_list:
         for fact in retracts:
@@ -137,9 +126,7 @@ def run_chaos_campaign(
     batches: int = 8,
     ops_per_batch: int = 10,
     seed: int = 0,
-    workers: int = 2,
     fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
     clauses: tuple[HornClause, ...] = CHAOS_CLAUSES,
     snapshot_every: int = 4,
 ) -> ChaosResult:
@@ -152,9 +139,7 @@ def run_chaos_campaign(
     journaled but before the engine mutates — the campaign then does
     what a restarted process would: discards the engine and calls
     :meth:`ChurnJournal.recover`, which replays the crashed batch as
-    durable history.  Scheduler-level faults (worker crashes, hangs,
-    slow tasks) never surface at all; the hardened
-    :class:`~repro.inference.horn.ParallelScheduler` absorbs them.
+    durable history.
     """
     batch_list = chaos_batches(
         batches=batches, ops_per_batch=ops_per_batch, seed=seed
@@ -163,12 +148,7 @@ def run_chaos_campaign(
 
     started = perf_counter()
     journal = ChurnJournal(journal_path)
-    engine = HornEngine(
-        workers=workers,
-        retry_policy=retry_policy,
-        fault_plan=fault_plan,
-        journal=journal,
-    )
+    engine = HornEngine(fault_plan=fault_plan, journal=journal)
     engine.add_clauses(clauses)
     engine.saturate()
     # the snapshot carries the program: recovery needs the clauses
@@ -182,17 +162,6 @@ def run_chaos_campaign(
         oracle_facts=len(oracle),
         elapsed_ms=0.0,
     )
-    sched = dict.fromkeys(_SCHED_KEYS, 0)
-    seen_stats: object = engine.last_stats
-
-    def harvest() -> None:
-        nonlocal seen_stats
-        stats = engine.last_stats
-        if stats is not seen_stats:
-            seen_stats = stats
-            for key in _SCHED_KEYS:
-                sched[key] += int(stats.get(key, 0))
-
     for index, (adds, retracts) in enumerate(batch_list):
         try:
             engine.apply_batch(adds, retracts)
@@ -201,13 +170,7 @@ def run_chaos_campaign(
             # exactly as a restarted process would.  The crashed batch
             # is replayed by recovery — do not re-apply it.
             result.recoveries += 1
-            engine, _report = journal.recover(
-                workers=workers,
-                retry_policy=retry_policy,
-                fault_plan=fault_plan,
-            )
-            seen_stats = None  # fresh engine, fresh stats dict
-        harvest()
+            engine, _report = journal.recover(fault_plan=fault_plan)
         if snapshot_every and (index + 1) % snapshot_every == 0:
             journal.snapshot(engine)
 
@@ -215,7 +178,6 @@ def run_chaos_campaign(
     result.elapsed_ms = (perf_counter() - started) * 1000.0
     result.facts = len(final)
     result.parity = final == oracle
-    result.scheduler_stats = sched
     if fault_plan is not None:
         result.fault_summary = fault_plan.summary()
     return result

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from repro.core.ontology import Ontology, qualify
 from repro.core.rules import (
     ArticulationRuleSet,
-    HornClause,
     ImplicationRule,
     TermOperand,
     TermRef,
@@ -41,9 +40,7 @@ __all__ = [
     "WorkloadConfig",
     "Concept",
     "SyntheticWorkload",
-    "WideProgram",
     "generate_workload",
-    "wide_program",
 ]
 
 # Label variants per concept: base plus distinct per-variant suffix
@@ -285,68 +282,4 @@ def generate_workload(config: WorkloadConfig) -> SyntheticWorkload:
         sources=sources,
         labels_by_source=labels_by_source,
         shared_core=frozenset(shared_core),
-    )
-
-
-# ----------------------------------------------------------------------
-# wide Horn programs: many mutually independent recursive families
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WideProgram:
-    """A Horn program whose stratum DAG is ``n_sccs`` independent
-    two-stage chains.
-
-    Family ``i`` owns two predicates: ``P{i}`` closes transitively
-    over a ``scc_size``-fact chain (one recursive SCC), and ``Q{i}``
-    lifts ``P{i}`` and closes symmetrically (a second recursive SCC
-    depending on the first).  No predicate crosses families, so the
-    parallel scheduler can saturate all ``2 * n_sccs`` strata with
-    only the intra-family ordering constraint — the workload the
-    speedup-vs-workers benchmark and the parallel parity suites
-    measure against.
-    """
-
-    n_sccs: int
-    scc_size: int
-    clauses: tuple[HornClause, ...]
-    facts: tuple[tuple[str, ...], ...]
-
-    def closure_size(self) -> int:
-        """Derivable facts at fixpoint (for sanity checks): per family,
-        ``n(n+1)/2`` transitive ``P`` pairs, each lifted into ``Q``
-        in both directions."""
-        n = self.scc_size
-        pairs = n * (n + 1) // 2
-        return self.n_sccs * (pairs + 2 * pairs)
-
-
-def wide_program(n_sccs: int, scc_size: int) -> WideProgram:
-    """Build ``n_sccs`` independent recursive predicate families.
-
-    Deterministic (no randomness to seed): family ``i`` gets the
-    chain ``P{i}(c{i}_0, c{i}_1), ...`` of ``scc_size`` facts plus a
-    transitivity clause on ``P{i}``, a lift ``Q{i} :- P{i}`` and a
-    symmetry clause on ``Q{i}``.  Constants are namespaced per family,
-    so fact partitions are disjoint too.
-    """
-    if n_sccs < 1:
-        raise OnionError(f"n_sccs must be >= 1, got {n_sccs!r}")
-    if scc_size < 1:
-        raise OnionError(f"scc_size must be >= 1, got {scc_size!r}")
-    clauses: list[HornClause] = []
-    facts: list[tuple[str, ...]] = []
-    for family in range(n_sccs):
-        p, q = f"P{family}", f"Q{family}"
-        clauses.append(
-            HornClause((p, "?x", "?z"), ((p, "?x", "?y"), (p, "?y", "?z")))
-        )
-        clauses.append(HornClause((q, "?x", "?y"), ((p, "?x", "?y"),)))
-        clauses.append(HornClause((q, "?y", "?x"), ((q, "?x", "?y"),)))
-        for j in range(scc_size):
-            facts.append((p, f"c{family}_{j}", f"c{family}_{j + 1}"))
-    return WideProgram(
-        n_sccs=n_sccs,
-        scc_size=scc_size,
-        clauses=tuple(clauses),
-        facts=tuple(facts),
     )

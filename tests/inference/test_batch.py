@@ -297,10 +297,18 @@ class TestGoalEngineBatch:
             engine.apply_batch(adds=[("S", "?x", "b")])
         with pytest.raises(InferenceError):
             engine.apply_batch(retracts=[("S", "?x", "b")])
-
-    def test_workers_thread_through_to_slices(self) -> None:
-        engine = GoalDirectedEngine(workers=2)
-        engine.add_clause(TRANS)
-        engine.add_facts([("S", "a", "b"), ("S", "b", "c")])
+        # a valid retract next to a non-ground add: the whole batch is
+        # rejected before the master store or the memoized slices move
+        assert engine.holds(("S", "a", "c"))  # memoize the slice
+        base = set(engine._store.iter_facts())
+        with pytest.raises(InferenceError):
+            engine.apply_batch(
+                adds=[("S", "?x", "b")], retracts=[("S", "a", "b")]
+            )
+        assert set(engine._store.iter_facts()) == base
         assert engine.holds(("S", "a", "c"))
-        assert engine._slice_for("S").workers == 2
+        assert engine.facts("S") == {
+            ("S", "a", "b"),
+            ("S", "b", "c"),
+            ("S", "a", "c"),
+        }

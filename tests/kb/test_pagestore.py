@@ -1,7 +1,7 @@
 """The out-of-core fact store: FactStore-contract parity, the buffer
-pool, bulk ETL ingest, and the storage={memory,paged} x workers={1,2}
-churn-script parity matrix (DRed retraction and apply_batch crossover
-included)."""
+pool, bulk ETL ingest, and the storage={memory,paged} x
+buffer_facts={1,2} churn-script parity matrix (DRed retraction and
+apply_batch crossover included)."""
 
 from __future__ import annotations
 
@@ -326,21 +326,31 @@ class TestChurnParityMatrix:
     """The tentpole's equivalence claim: the paged store is
     observationally identical to the in-memory store under every
     churn path the engine has — delta additions, DRed retractions,
-    clause churn — serial and parallel alike."""
+    clause churn."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("buffer_facts", [1, 2])
     @settings(max_examples=30, deadline=None)
     @given(script=churn_scripts())
-    def test_paged_matches_memory_and_oracle(self, workers, script) -> None:
+    def test_paged_matches_memory_and_oracle(
+        self, buffer_facts, script
+    ) -> None:
+        """A one- or two-fact buffer pool caches almost nothing, so
+        every index probe and every eviction goes through SQLite."""
         expected = oracle_states(script, saturate_every=3)
         _, memory_states = replay_incremental(
-            script, saturate_every=3, storage="memory", workers=workers
+            script, saturate_every=3, storage="memory"
         )
         engine, paged_states = replay_incremental(
-            script, saturate_every=3, storage="paged", workers=workers
+            script,
+            saturate_every=3,
+            storage="paged",
+            buffer_facts=buffer_facts,
         )
         assert memory_states == expected
         assert paged_states == expected
+        stats = engine.store.buffer_stats()
+        assert stats["buffer_facts"] == buffer_facts
+        assert stats["buffered_facts"] <= buffer_facts
         engine.store.close()
 
     @settings(max_examples=15, deadline=None)

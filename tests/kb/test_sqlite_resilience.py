@@ -11,9 +11,7 @@ from repro.kb.backends.sqlite import SQLiteBackend
 from repro.kb.instances import Instance
 from repro.reliability import FaultPlan, RetryPolicy
 
-FAST = RetryPolicy(
-    max_retries=3, backoff_base=0.001, backoff_cap=0.005, task_timeout=None
-)
+FAST = RetryPolicy(max_retries=3, backoff_base=0.001, backoff_cap=0.005)
 
 
 def _instance(i: int) -> Instance:
@@ -38,10 +36,7 @@ class TestBusyTimeoutAndRetry:
     def test_lock_that_outlives_retries_raises(self) -> None:
         backend = SQLiteBackend(
             retry_policy=RetryPolicy(
-                max_retries=0,
-                backoff_base=0.0,
-                backoff_cap=0.0,
-                task_timeout=None,
+                max_retries=0, backoff_base=0.0, backoff_cap=0.0
             ),
         )
         # arm after construction so the schema DDL is not the victim
@@ -103,10 +98,7 @@ class TestBulkRollback:
         table at its pre-bulk state."""
         backend = SQLiteBackend(
             retry_policy=RetryPolicy(
-                max_retries=0,
-                backoff_base=0.0,
-                backoff_cap=0.0,
-                task_timeout=None,
+                max_retries=0, backoff_base=0.0, backoff_cap=0.0
             ),
         )
         backend.insert(_instance(0))

@@ -6,12 +6,11 @@ import pytest
 
 from repro.errors import OnionError
 from repro.reliability import (
-    DEFAULT_RETRY_POLICY,
     FAULT_SITES,
+    SQLITE_RETRY_POLICY,
     FaultInjected,
     FaultPlan,
     RetryPolicy,
-    TaskFault,
 )
 
 
@@ -28,39 +27,45 @@ class TestRetryPolicy:
         with pytest.raises(OnionError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(OnionError):
-            RetryPolicy(task_timeout=0.0)
+            RetryPolicy(backoff_base=-0.01)
+        with pytest.raises(OnionError):
+            RetryPolicy(backoff_cap=-0.01)
 
     def test_default_is_frozen(self) -> None:
         with pytest.raises(AttributeError):
-            DEFAULT_RETRY_POLICY.max_retries = 9  # type: ignore[misc]
+            SQLITE_RETRY_POLICY.max_retries = 9  # type: ignore[misc]
 
 
 class TestFaultPlanDeterminism:
     def test_same_seed_same_firing_sequence(self) -> None:
         draws = [
-            [FaultPlan(seed=42, rates={"task_error": 0.5}).fire("task_error")]
+            [
+                FaultPlan(seed=42, rates={"batch_crash": 0.5}).fire(
+                    "batch_crash"
+                )
+            ]
             for _ in range(2)
         ]
-        plan_a = FaultPlan(seed=42, rates={"task_error": 0.5})
-        plan_b = FaultPlan(seed=42, rates={"task_error": 0.5})
-        seq_a = [plan_a.fire("task_error") for _ in range(50)]
-        seq_b = [plan_b.fire("task_error") for _ in range(50)]
+        plan_a = FaultPlan(seed=42, rates={"batch_crash": 0.5})
+        plan_b = FaultPlan(seed=42, rates={"batch_crash": 0.5})
+        seq_a = [plan_a.fire("batch_crash") for _ in range(50)]
+        seq_b = [plan_b.fire("batch_crash") for _ in range(50)]
         assert seq_a == seq_b
         assert any(seq_a) and not all(seq_a)
         assert draws[0] == draws[1]
 
     def test_sites_have_independent_streams(self) -> None:
         """Drawing one site never perturbs another: a plan that also
-        draws task_slow fires task_error identically."""
+        draws sqlite_lock fires batch_crash identically."""
         plan_a = FaultPlan(
-            seed=7, rates={"task_error": 0.3, "task_slow": 0.9}
+            seed=7, rates={"batch_crash": 0.3, "sqlite_lock": 0.9}
         )
-        plan_b = FaultPlan(seed=7, rates={"task_error": 0.3})
+        plan_b = FaultPlan(seed=7, rates={"batch_crash": 0.3})
         seq_a = []
         for _ in range(40):
-            plan_a.fire("task_slow")
-            seq_a.append(plan_a.fire("task_error"))
-        seq_b = [plan_b.fire("task_error") for _ in range(40)]
+            plan_a.fire("sqlite_lock")
+            seq_a.append(plan_a.fire("batch_crash"))
+        seq_b = [plan_b.fire("batch_crash") for _ in range(40)]
         assert seq_a == seq_b
 
     def test_unknown_site_rejected(self) -> None:
@@ -71,16 +76,16 @@ class TestFaultPlanDeterminism:
             plan.fire("cosmic_ray")
 
     def test_max_fires_caps_total(self) -> None:
-        plan = FaultPlan(seed=1, rates={"task_error": 1.0}, max_fires=3)
-        fired = sum(plan.fire("task_error") for _ in range(10))
+        plan = FaultPlan(seed=1, rates={"batch_crash": 1.0}, max_fires=3)
+        fired = sum(plan.fire("batch_crash") for _ in range(10))
         assert fired == 3
 
     def test_scripted_plan_fires_exact_draws(self) -> None:
-        plan = FaultPlan.scripted({"worker_crash": [0, 2]})
-        assert plan.fire("worker_crash") is True
-        assert plan.fire("worker_crash") is False
-        assert plan.fire("worker_crash") is True
-        assert plan.fire("worker_crash") is False
+        plan = FaultPlan.scripted({"batch_crash": [0, 2]})
+        assert plan.fire("batch_crash") is True
+        assert plan.fire("batch_crash") is False
+        assert plan.fire("batch_crash") is True
+        assert plan.fire("batch_crash") is False
 
     def test_summary_counts_draws_and_fires(self) -> None:
         plan = FaultPlan(seed=0, rates={"sqlite_lock": 1.0})
@@ -91,37 +96,9 @@ class TestFaultPlanDeterminism:
         assert summary["fired"]["sqlite_lock"] == 4
 
     def test_all_sites_listed(self) -> None:
-        assert set(FAULT_SITES) == {
-            "worker_crash",
-            "task_hang",
-            "task_error",
-            "task_slow",
-            "sqlite_lock",
-            "batch_crash",
-        }
+        assert FAULT_SITES == ("sqlite_lock", "batch_crash")
 
 
 class TestTaskFaultSelection:
-    def test_task_fault_severity_order(self) -> None:
-        """worker_crash wins over task_error when both fire."""
-        plan = FaultPlan(
-            seed=0, rates={"worker_crash": 1.0, "task_error": 1.0}
-        )
-        fault = plan.task_fault()
-        assert isinstance(fault, TaskFault)
-        assert fault.kind == "crash"
-
-    def test_no_fault_when_quiet(self) -> None:
-        assert FaultPlan(seed=0).task_fault() is None
-
-    def test_hang_carries_duration(self) -> None:
-        plan = FaultPlan(
-            seed=0, rates={"task_hang": 1.0}, hang_seconds=0.125
-        )
-        fault = plan.task_fault()
-        assert fault is not None
-        assert fault.kind == "hang"
-        assert fault.seconds == 0.125
-
     def test_fault_injected_is_onion_error(self) -> None:
         assert issubclass(FaultInjected, OnionError)

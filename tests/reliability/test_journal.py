@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.rules import HornClause
+from repro.errors import InferenceError
 from repro.inference.horn import HornEngine
 from repro.reliability import ChurnJournal, FaultInjected, FaultPlan
 
@@ -175,6 +176,24 @@ class TestApplyBatchJournaling:
         engine = _engine(None)
         engine.apply_batch(adds=[("S", "c", "d")])
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_ground_batch_leaves_no_trace(self, tmp_path) -> None:
+        """A batch with one non-ground atom is rejected whole: no fact
+        lands, no record is written, and the journal still recovers
+        the pre-batch fixpoint."""
+        journal = ChurnJournal(tmp_path / "j.jsonl")
+        engine = _engine(journal)
+        journal.snapshot(engine)
+        before_facts = engine.facts()
+        before_records = journal.records()
+        with pytest.raises(InferenceError):
+            engine.apply_batch([("S", "c", "d"), ("S", "?x", "e")], [])
+        assert engine.facts() == before_facts
+        assert journal.records() == before_records
+        assert journal.pending() == []
+        recovered, report = journal.recover()
+        assert report["batches"] == 0
+        assert recovered.facts() == before_facts
 
 
 class TestRecovery:

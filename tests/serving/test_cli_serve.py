@@ -46,7 +46,7 @@ class TestArgParsing:
         assert args.port == 8707
         assert args.sessions == 256
         assert args.cache_size == 512
-        assert args.workers == 1
+        assert not hasattr(args, "workers")
         assert args.journal is None
         assert args.pushdown is False
 

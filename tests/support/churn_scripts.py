@@ -144,31 +144,26 @@ def replay_incremental(
     saturate_every: int = 1,
     seed_clauses: tuple[HornClause, ...] = (),
     storage: str = "memory",
-    workers: int = 1,
-    retry_policy=None,
-    fault_plan=None,
+    buffer_facts: int | None = None,
 ) -> tuple[HornEngine, list[set[Atom]]]:
     """Replay a script into one engine; snapshot facts per checkpoint.
 
     ``saturate_every=k`` saturates (and snapshots) after every ``k``-th
     operation and once more at the end, so parity is checked mid-flight
     — including states where additions and retractions are queued
-    together — not only after the final op.  ``workers>1`` routes
-    every saturation through the parallel stratum scheduler; a
-    ``fault_plan`` injects seeded chaos into those saturations (the
-    snapshots must still equal the fault-free oracle).
-    ``storage="paged"`` runs the whole script against the disk-backed
+    together — not only after the final op.  ``storage="paged"`` runs
+    the whole script against the disk-backed
     :class:`~repro.kb.pagestore.PagedFactStore` (a RAM-resident SQLite
-    database, so the paging machinery is exercised at test speed).
+    database, so the paging machinery is exercised at test speed);
+    ``buffer_facts`` sizes its buffer pool (the store default when
+    ``None``).
     """
     engine = HornEngine(
         strategy=strategy,
         scheduling=scheduling,
         storage=storage,
         storage_path=":memory:" if storage == "paged" else None,
-        workers=workers,
-        retry_policy=retry_policy,
-        fault_plan=fault_plan,
+        buffer_facts=buffer_facts,
     )
     engine.add_clauses(seed_clauses)
     snapshots: list[set[Atom]] = []

@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.articulation import ArticulationGenerator
 from repro.errors import OnionError
-from repro.inference.horn import HornEngine
 from repro.workloads.churn import apply_churn
-from repro.workloads.generator import (
-    WorkloadConfig,
-    generate_workload,
-    wide_program,
-)
+from repro.workloads.generator import WorkloadConfig, generate_workload
 
 
 class TestConfigValidation:
@@ -176,48 +171,3 @@ class TestChurn:
     def test_ontology_stays_valid_under_churn(self, factory) -> None:
         apply_churn(factory, n_mutations=30, seed=9)
         assert factory.is_valid(), factory.validate()
-
-
-class TestWideProgram:
-    def test_shape(self) -> None:
-        program = wide_program(4, 5)
-        assert len(program.clauses) == 12  # 3 clauses per family
-        assert len(program.facts) == 20  # scc_size facts per family
-        predicates = {clause.head[0] for clause in program.clauses}
-        assert predicates == {f"{p}{i}" for p in "PQ" for i in range(4)}
-
-    def test_families_share_no_constants(self) -> None:
-        program = wide_program(3, 4)
-        by_family: dict[str, set[str]] = {}
-        for fact in program.facts:
-            by_family.setdefault(fact[0], set()).update(fact[1:])
-        families = list(by_family.values())
-        for i, left in enumerate(families):
-            for right in families[i + 1 :]:
-                assert not (left & right)
-
-    def test_closure_size_matches_saturation(self) -> None:
-        program = wide_program(3, 5)
-        engine = HornEngine()
-        engine.add_clauses(program.clauses)
-        engine.add_facts(program.facts)
-        engine.saturate()
-        assert len(engine.facts()) == program.closure_size()
-
-    def test_stratum_dag_is_wide(self) -> None:
-        program = wide_program(5, 3)
-        engine = HornEngine()
-        engine.add_clauses(program.clauses)
-        strata, deps = engine.stratum_dag()
-        assert len(strata) == 10  # P and Q stratum per family
-        # Half the strata are roots: real width for the scheduler.
-        assert sum(1 for dep in deps if not dep) == 5
-
-    def test_validation(self) -> None:
-        with pytest.raises(OnionError):
-            wide_program(0, 3)
-        with pytest.raises(OnionError):
-            wide_program(3, 0)
-
-    def test_deterministic(self) -> None:
-        assert wide_program(2, 3) == wide_program(2, 3)
