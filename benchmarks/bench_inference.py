@@ -15,11 +15,12 @@ Four ablations over the rebuilt evaluator:
   facts and join candidates (work proportional to the delta), not
   just wall clock.
 * **stratified-vs-flat** — SCC-stratum scheduling against flat
-  delta-driven rounds on a layered program: joins are enumerated once
-  either way (semi-naive), but stratification cuts the delta-plan
-  activations.
-* **semi-naive-vs-naive** — the classic delta ablation, retained from
-  the original experiment, plus goal-directed slicing and the full
+  delta-driven rounds (``tests.support.baselines.FlatHornEngine``) on
+  a layered program: joins are enumerated once either way
+  (semi-naive), but stratification cuts the delta-plan activations.
+* **semi-naive-vs-naive** — the classic delta ablation against
+  ``tests.support.baselines.NaiveHornEngine``, retained from the
+  original experiment, plus goal-directed slicing and the full
   articulation-reasoning load.
 
 Running this module writes ``BENCH_inference.json`` next to it with
@@ -41,6 +42,7 @@ from repro.inference.horn import HornEngine
 from repro.workloads.paper_example import generate_transport_articulation
 
 from legacy_horn import LegacyHornEngine
+from tests.support.baselines import FlatHornEngine, NaiveHornEngine
 
 TRANS = HornClause(
     ("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z"))
@@ -50,8 +52,12 @@ RESULTS: dict[str, object] = {"experiment": "INFER", "workloads": {}}
 _JSON_PATH = Path(__file__).resolve().parent / "BENCH_inference.json"
 
 
-def chain_engine(n: int, strategy: str = "seminaive", **kwargs) -> HornEngine:
-    engine = HornEngine(strategy=strategy, **kwargs)
+# the engine behind each evaluation strategy the ablations compare
+ENGINES = {"seminaive": HornEngine, "naive": NaiveHornEngine}
+
+
+def chain_engine(n: int, strategy: str = "seminaive") -> HornEngine:
+    engine = ENGINES[strategy]()
     engine.add_clause(TRANS)
     for i in range(n - 1):
         engine.add_fact(("S", f"n{i}", f"n{i+1}"))
@@ -202,7 +208,7 @@ LAYERED = [
 
 
 def layered_engine(scheduling: str, n: int = 50, m: int = 40) -> HornEngine:
-    engine = HornEngine(scheduling=scheduling)
+    engine = {"stratified": HornEngine, "flat": FlatHornEngine}[scheduling]()
     engine.add_clauses(LAYERED)
     for i in range(n - 1):
         engine.add_fact(("S", f"n{i}", f"n{i+1}"))

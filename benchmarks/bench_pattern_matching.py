@@ -3,10 +3,11 @@
 Matches the paper's two textual pattern shapes (a path and a node-with-
 attributes) against synthetic ontologies of growing size, under strict
 label equality and under fuzzy (synonym + relaxed-edge) configurations.
-The fuzzy baseline pays a Python-level label scan per pattern node per
-call; the indexed strategy resolves the same candidates through the
-cached :class:`MatchIndex`, and the ablation at the bottom measures
-the gap (recorded into ``BENCH_articulation.json``).
+The fuzzy baseline (``tests.support.baselines.find_matches_scan``)
+pays a Python-level label scan per pattern node per call;
+:func:`find_matches` resolves the same candidates through the cached
+:class:`MatchIndex`, and the ablation at the bottom measures the gap
+(recorded into ``BENCH_articulation.json``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 
 from repro.core.patterns import ANY_LABEL, MatchConfig, Pattern, find_matches
 from repro.workloads.generator import WorkloadConfig, generate_workload
+
+from tests.support.baselines import find_matches_scan
 
 # How many times each articulation-rule application re-matches against
 # one (graph, config) pair in the generation loop; the ablation repeats
@@ -135,7 +138,7 @@ def fuzzy_config(graph) -> MatchConfig:
 def test_indexed_vs_scan_fuzzy(table, record_bench) -> None:
     """The acceptance ablation: indexed fuzzy matching against the
     per-call label-scan baseline.  At the largest ontology the indexed
-    strategy must clear a 10x speedup."""
+    search must clear a 10x speedup."""
     rows = []
     series = {}
     for n_terms in (100, 400, 1600):
@@ -145,24 +148,20 @@ def test_indexed_vs_scan_fuzzy(table, record_bench) -> None:
 
         # Untimed warmup: the index is built once per (graph, config)
         # in the generation loop; time the steady state of both paths.
-        sum(1 for _ in find_matches(pattern, graph, config,
-                                    strategy="scan"))
-        sum(1 for _ in find_matches(pattern, graph, config,
-                                    strategy="indexed"))
+        sum(1 for _ in find_matches_scan(pattern, graph, config))
+        sum(1 for _ in find_matches(pattern, graph, config))
 
         t0 = time.perf_counter()
         for _ in range(REPEATS):
             scan_matches = sum(
-                1 for _ in find_matches(pattern, graph, config,
-                                        strategy="scan")
+                1 for _ in find_matches_scan(pattern, graph, config)
             )
         t_scan = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         for _ in range(REPEATS):
             indexed_matches = sum(
-                1 for _ in find_matches(pattern, graph, config,
-                                        strategy="indexed")
+                1 for _ in find_matches(pattern, graph, config)
             )
         t_indexed = time.perf_counter() - t0
 

@@ -7,9 +7,10 @@ suggestions, plus the DESIGN.md ablation: lexical matchers alone vs
 lexical + structural.
 
 The blocking ablation at the bottom measures the inverted-index
-candidate generation against the preserved all-pairs loops: identical
-proposals, candidate-pair counts proportional to output instead of
-``|o1| x |o2|`` (recorded into ``BENCH_articulation.json``).
+candidate generation against the all-pairs loops of
+``tests.support.baselines``: identical proposals, candidate-pair
+counts proportional to output instead of ``|o1| x |o2|`` (recorded
+into ``BENCH_articulation.json``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.lexicon.skat import (
     SynonymMatcher,
 )
 from repro.workloads.generator import WorkloadConfig, generate_workload
+
+from tests.support.baselines import all_pairs_skat
 
 
 def make_workload():
@@ -158,8 +161,8 @@ def test_blocked_vs_all_pairs(table, record_bench) -> None:
         lexicon = workload.lexicon(noise=0.0, seed=7)
         o1, o2 = workload.sources
 
-        blocked = SkatEngine.default(lexicon, blocking=True)
-        scan = SkatEngine.default(lexicon, blocking=False)
+        blocked = SkatEngine.default(lexicon)
+        scan = all_pairs_skat(lexicon)
 
         t0 = time.perf_counter()
         scan_proposals = scan.propose(o1, o2)

@@ -16,23 +16,15 @@ search.  Pattern nodes may also be *variables* (unlabeled), which bind
 to any graph node — the textual form ``truck(O: owner, model)`` from
 the paper binds ``O`` this way.
 
-Two execution strategies share one backtracking core:
-
-* ``strategy="indexed"`` (default) resolves condition 1 through a
-  :class:`MatchIndex` — a per-``(graph, MatchConfig)`` map from labels
-  to candidate node sets with the case/synonym closure folded in at
-  build time, cached on the graph and kept current under graph deltas
-  by replaying the graph's bounded mutation journal in place (full
-  rebuild only when the gap outruns the journal) — and compiles the
-  pattern once per call
-  (:func:`compile_pattern`): nodes ordered by selectivity, each edge
-  check lowered to an O(1) set or pair lookup.
-* ``strategy="scan"`` is the original per-call label scan, preserved
-  as the parity baseline the property suite and the benchmarks compare
-  against.
-
-Both strategies enumerate candidates in sorted order, so matches are
-reproducible run-to-run and identical between strategies.
+The search resolves condition 1 through a :class:`MatchIndex` — a
+per-``(graph, MatchConfig)`` map from labels to candidate node sets
+with the case/synonym closure folded in at build time, cached on the
+graph and kept current under graph deltas by replaying the graph's
+bounded mutation journal in place (full rebuild only when the gap
+outruns the journal) — and compiles the pattern once per call
+(:func:`compile_pattern`): nodes ordered by selectivity, each edge
+check lowered to an O(1) set or pair lookup.  Candidates are
+enumerated in sorted order, so matches are reproducible run-to-run.
 """
 
 from __future__ import annotations
@@ -553,7 +545,8 @@ class MatchIndex:
     def candidates(self, pattern_label: str) -> tuple[str, ...]:
         """Graph nodes satisfying condition 1 for ``pattern_label``.
 
-        Exactly the set the scanning baseline produces, sorted.
+        Sorted and memoized per label: exactly the nodes whose label
+        :meth:`MatchConfig.node_labels_match` accepts.
         """
         cached = self._label_cache.get(pattern_label)
         if cached is not None:
@@ -640,11 +633,7 @@ def _order_nodes(
     candidate_sets: Mapping[str, Iterable[str]],
     adjacency: Mapping[str, list[PatternEdge]],
 ) -> list[PatternNode]:
-    """Most constrained (fewest candidates, then most edges) first.
-
-    Shared by both strategies so they assign nodes in the same order
-    and therefore emit identical binding sequences.
-    """
+    """Most constrained (fewest candidates, then most edges) first."""
     return sorted(
         nodes,
         key=lambda n: (
@@ -712,98 +701,9 @@ def compile_pattern(
 
 
 # ----------------------------------------------------------------------
-# the scanning baseline (parity reference)
+# the backtracking search
 # ----------------------------------------------------------------------
-def _scan_candidates(
-    node: PatternNode, graph: LabeledGraph, config: MatchConfig
-) -> list[str]:
-    """Graph nodes that could satisfy condition 1 for ``node``.
-
-    The pre-index code path: a full label scan per fuzzy lookup.  Kept
-    as the baseline the parity suite and benchmarks measure against.
-    """
-    if node.is_wildcard:
-        return sorted(graph.nodes())
-    assert node.label is not None
-    # Fast path: exact label index.
-    found = set(graph.nodes_with_label(node.label))
-    needs_scan = bool(
-        config.case_insensitive or config.synonyms or config.node_equiv
-    )
-    if needs_scan:
-        for label in graph.labels():
-            if label == node.label:
-                continue  # already covered by the exact index above
-            if config.node_labels_match(node.label, label):
-                found.update(graph.nodes_with_label(label))
-    return sorted(found)
-
-
-def _find_matches_scan(
-    pattern: Pattern,
-    graph: LabeledGraph,
-    config: MatchConfig,
-    limit: int | None,
-) -> Iterator[Binding]:
-    nodes = pattern.nodes()
-    candidate_sets = {
-        n.node_id: _scan_candidates(n, graph, config) for n in nodes
-    }
-    adjacency = _pattern_adjacency(nodes, pattern.edges())
-    order = _order_nodes(nodes, candidate_sets, adjacency)
-
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-    emitted = 0
-
-    def edge_ok(edge: PatternEdge) -> bool:
-        src = assignment.get(edge.source)
-        dst = assignment.get(edge.target)
-        if src is None or dst is None:
-            return True  # not yet checkable
-        for graph_edge in graph.out_edges(src):
-            if graph_edge.target == dst and config.edge_labels_match(
-                edge.label, graph_edge.label
-            ):
-                return True
-        return False
-
-    def extend(depth: int) -> Iterator[Binding]:
-        nonlocal emitted
-        if depth == len(order):
-            variables = {
-                n.variable: assignment[n.node_id]
-                for n in nodes
-                if n.variable is not None
-            }
-            emitted += 1
-            yield Binding(dict(assignment), variables)
-            return
-        pattern_node = order[depth]
-        for candidate in candidate_sets[pattern_node.node_id]:
-            if config.injective and candidate in used:
-                continue
-            assignment[pattern_node.node_id] = candidate
-            used.add(candidate)
-            if all(
-                edge_ok(e)
-                for e in adjacency[pattern_node.node_id]
-            ):
-                yield from extend(depth + 1)
-                if limit is not None and emitted >= limit:
-                    del assignment[pattern_node.node_id]
-                    used.discard(candidate)
-                    return
-            del assignment[pattern_node.node_id]
-            used.discard(candidate)
-
-    yield from extend(0)
-
-
-# ----------------------------------------------------------------------
-# the indexed engine
-# ----------------------------------------------------------------------
-def _find_matches_indexed(
+def _find_matches(
     pattern: Pattern,
     graph: LabeledGraph,
     config: MatchConfig,
@@ -878,28 +778,27 @@ def find_matches(
     config: MatchConfig | None = None,
     *,
     limit: int | None = None,
-    strategy: str = "indexed",
 ) -> Iterator[Binding]:
     """All mappings of ``pattern`` into ``graph`` under ``config``.
 
     Backtracking search ordered most-constrained-first: labeled pattern
     nodes with the fewest candidates are assigned before wildcards, and
     every partial assignment is checked against the pattern edges whose
-    endpoints are already bound.
+    endpoints are already bound.  Candidates come from the cached
+    :class:`MatchIndex` and edge checks from :func:`compile_pattern`.
 
-    ``strategy`` selects ``"indexed"`` (default: cached
-    :class:`MatchIndex` + :func:`compile_pattern`) or ``"scan"`` (the
-    per-call label-scan baseline).  Both enumerate the same bindings in
-    the same order.
+    ``limit`` caps the number of bindings yielded: ``0`` yields none,
+    and a negative limit raises :class:`PatternError`.
     """
     config = config if config is not None else _STRICT_CONFIG
     if not len(pattern):
         raise PatternError("cannot match an empty pattern")
-    if strategy == "indexed":
-        return _find_matches_indexed(pattern, graph, config, limit)
-    if strategy == "scan":
-        return _find_matches_scan(pattern, graph, config, limit)
-    raise PatternError(f"unknown match strategy {strategy!r}")
+    if limit is not None:
+        if limit < 0:
+            raise PatternError(f"match limit must be >= 0, got {limit!r}")
+        if limit == 0:
+            return iter(())
+    return _find_matches(pattern, graph, config, limit)
 
 
 def matches(

@@ -102,13 +102,17 @@ def _edge_atom(edge) -> Atom:
 
 
 class OntologyInferenceEngine:
-    """Horn-based reasoner over one ontology or a whole articulation."""
+    """Horn-based reasoner over one ontology or a whole articulation.
+
+    The keyword arguments configure the
+    :class:`~repro.inference.horn.HornEngine` this wrapper builds, and
+    every rebuild after an axiom change: derivation recording, the
+    fact store's backend, and the reliability hooks.
+    """
 
     def __init__(
         self,
         *,
-        strategy: str = "seminaive",
-        scheduling: str = "stratified",
         record_derivations: bool = True,
         storage: str = "memory",
         storage_path: str | None = None,
@@ -116,8 +120,6 @@ class OntologyInferenceEngine:
         fault_plan=None,
         journal=None,
     ) -> None:
-        self.strategy = strategy
-        self.scheduling = scheduling
         self.record_derivations = record_derivations
         self.storage = storage
         self.storage_path = storage_path
@@ -163,8 +165,6 @@ class OntologyInferenceEngine:
         path = None if self._storage_path_spent else self.storage_path
         self._storage_path_spent = True
         return HornEngine(
-            strategy=self.strategy,
-            scheduling=self.scheduling,
             record_derivations=self.record_derivations,
             storage=self.storage,
             storage_path=path,
@@ -197,10 +197,8 @@ class OntologyInferenceEngine:
         return self.load_graph(graph)
 
     @classmethod
-    def from_ontology(
-        cls, ontology: Ontology, *, strategy: str = "seminaive"
-    ) -> "OntologyInferenceEngine":
-        engine = cls(strategy=strategy)
+    def from_ontology(cls, ontology: Ontology) -> "OntologyInferenceEngine":
+        engine = cls()
         engine.load_ontology(ontology)
         return engine
 
@@ -391,16 +389,10 @@ class OntologyInferenceEngine:
         cls,
         articulation: Articulation,
         *,
-        strategy: str = "seminaive",
-        scheduling: str = "stratified",
         record_derivations: bool = True,
     ) -> "OntologyInferenceEngine":
         """Load sources, articulation ontology, bridges and rules."""
-        engine = cls(
-            strategy=strategy,
-            scheduling=scheduling,
-            record_derivations=record_derivations,
-        )
+        engine = cls(record_derivations=record_derivations)
         engine.refresh_from_articulation(articulation)
         return engine
 

@@ -53,17 +53,20 @@ __all__ = ["GoalDirectedEngine"]
 
 
 class GoalDirectedEngine:
-    """Answers goals by saturating only the relevant program slice."""
+    """Answers goals by saturating only the relevant program slice.
+
+    Each slice is a :class:`~repro.inference.horn.HornEngine` over a
+    copy-free overlay of the master store; ``storage`` picks the
+    master store's backend (``"memory"`` or ``"paged"``).
+    """
 
     def __init__(
         self,
         *,
-        strategy: str = "seminaive",
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
     ) -> None:
-        self.strategy = strategy
         if storage == "paged":
             from repro.kb.pagestore import PagedFactStore
 
@@ -196,8 +199,7 @@ class GoalDirectedEngine:
         # the slice's private layer.  Compiled clause plans come from
         # the process-wide compilation cache.
         engine = HornEngine(
-            strategy=self.strategy,
-            store=FactStore(base=self._store, visible=relevant),
+            store=FactStore(base=self._store, visible=relevant)
         )
         n_clauses = 0
         for clause in self._clauses:

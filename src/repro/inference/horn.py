@@ -57,10 +57,8 @@ clause with body atoms ``b_1 .. b_n`` and round delta ``Δ ⊆ F``, the
 occurrence plan for position ``i`` joins ``b_i ∈ Δ``, ``b_j ∈ F`` for
 ``j < i`` and ``b_j ∈ F \\ Δ`` for ``j > i`` — each join is enumerated
 exactly once even when the same delta predicate occurs at several body
-positions (the transitive-closure clause).  Rounds are snapshots for
-both strategies: facts derived in round ``r`` become joinable in round
-``r + 1``, which makes ``saturate(max_rounds=k)`` produce identical
-fact sets under ``naive`` and ``seminaive``.
+positions (the transitive-closure clause).  Rounds are snapshots:
+facts derived in round ``r`` become joinable in round ``r + 1``.
 
 Derivations are recorded (optionally — disable for a faster
 no-``explain`` mode) so every inferred fact can be explained back to
@@ -451,8 +449,8 @@ class _JoinPlan:
 class CompiledClause:
     """A clause analyzed into slot assignments and join plans.
 
-    ``full_plan`` joins every body atom against the whole store (naive
-    rounds, round-0 of a fresh stratum, new-clause catch-up).
+    ``full_plan`` joins every body atom against the whole store (a new
+    clause's catch-up run, and a retracted clause's conclusions).
     ``delta_plans`` has one plan per body position for semi-naive
     rounds; plan ``i`` reads position ``i`` from the delta, positions
     before it from the full store and positions after it from
@@ -766,11 +764,6 @@ def _new_stats(mode: str) -> dict[str, int | str]:
 class HornEngine:
     """Forward-chaining evaluation of Horn clauses over ground facts.
 
-    ``strategy`` picks ``seminaive`` (delta) or ``naive`` (full
-    re-join) rounds; ``scheduling`` picks ``stratified`` (SCC strata
-    in topological order) or ``flat`` (all clauses every round) and
-    only affects the semi-naive strategy — naive evaluation is
-    inherently flat, so the knob is inert there.
     ``record_derivations=False`` skips provenance bookkeeping for a
     faster engine whose :meth:`explain` raises.  ``store`` lets a
     caller supply a (possibly overlay) :class:`FactStore`; absent
@@ -782,8 +775,9 @@ class HornEngine:
     engine never looks at which one it got: both stores answer the
     same (predicate, position, value) index contract.
 
-    Evaluation is serial: strata run one after another in the calling
-    process.  ``rebuild_crossover`` is the batch-retraction count at
+    Evaluation is stratified semi-naive and serial: SCC strata run one
+    after another in topological order, in the calling process, each
+    to its fixpoint by delta rounds.  ``rebuild_crossover`` is the batch-retraction count at
     which :meth:`apply_batch` switches from the DRed pass to a full
     rebuild — defaults to the figure recorded in the checked-in
     retraction benchmark (:func:`seed_rebuild_crossover`), and
@@ -802,8 +796,6 @@ class HornEngine:
     def __init__(
         self,
         *,
-        strategy: str = "seminaive",
-        scheduling: str = "stratified",
         record_derivations: bool = True,
         store: FactStore | None = None,
         storage: str = "memory",
@@ -813,14 +805,8 @@ class HornEngine:
         fault_plan: FaultPlan | None = None,
         journal: ChurnJournal | None = None,
     ) -> None:
-        if strategy not in ("seminaive", "naive"):
-            raise InferenceError(f"unknown evaluation strategy {strategy!r}")
-        if scheduling not in ("stratified", "flat"):
-            raise InferenceError(f"unknown scheduling {scheduling!r}")
         if storage not in ("memory", "paged"):
             raise InferenceError(f"unknown storage backend {storage!r}")
-        self.strategy = strategy
-        self.scheduling = scheduling
         self.record_derivations = record_derivations
         self.storage = storage
         self.storage_path = storage_path
@@ -879,18 +865,6 @@ class HornEngine:
     # program construction
     # ------------------------------------------------------------------
     @property
-    def _facts(self) -> set[Atom]:
-        """The full fact set (compat accessor for pre-rewrite callers).
-
-        On overlay-backed engines this copies base + local facts so
-        the view matches what the old attribute held; plain engines
-        return their store's set directly.
-        """
-        if self._store._base is not None:
-            return set(self._store.iter_facts())
-        return self._store._facts
-
-    @property
     def store(self) -> FactStore:
         return self._store
 
@@ -909,10 +883,7 @@ class HornEngine:
         if not self._store.add(atom):
             return False
         if self._saturated:
-            if self.strategy == "seminaive":
-                self._pending_facts.append(atom)
-            else:
-                self._saturated = False
+            self._pending_facts.append(atom)
         return True
 
     def add_facts(self, atoms: Iterable[Atom]) -> int:
@@ -922,9 +893,11 @@ class HornEngine:
         """Retract a base fact; returns False if it was never asserted.
 
         Only *asserted* facts can be retracted (a derived fact holds
-        exactly as long as its premises do).  On a saturated semi-naive
-        engine the retraction is queued and the next query runs the
-        DRed overdelete/rederive pass; otherwise the engine replays
+        exactly as long as its premises do).  On a saturated engine
+        the retraction is queued and the next query runs the DRed
+        overdelete/rederive pass.  An unsaturated engine that never
+        derived anything unlinks the fact in place; one left holding
+        derived facts by a saturation that raised part-way replays
         from its base facts on the next saturation.  A retracted fact
         that is still derivable from the surviving base facts comes
         back through rederivation.
@@ -934,7 +907,7 @@ class HornEngine:
         if atom not in self._base_facts:
             return False
         self._base_facts.discard(atom)
-        if self._saturated and self.strategy == "seminaive":
+        if self._saturated:
             self._pending_retractions.append(atom)
         elif not self._derived_ever:
             # Nothing has ever been derived: the store holds exactly
@@ -971,7 +944,7 @@ class HornEngine:
         if compiled in self._pending_clauses:
             self._pending_clauses.remove(compiled)
             return True
-        if self._saturated and self.strategy == "seminaive":
+        if self._saturated:
             self._pending_clause_retractions.append(compiled)
         elif self._derived_ever:
             self._needs_rebuild = True
@@ -990,10 +963,11 @@ class HornEngine:
     def is_saturated(self) -> bool:
         """At a fixpoint that incremental deltas can repair in place.
 
-        False before the first saturation and after a retraction took
-        the replay-from-base fallback (naive strategy, unsaturated
-        engine) — in those states the next query runs a full
-        saturation, not delta propagation.
+        False before the first saturation, after a saturation that
+        raised part-way, and while a replay from base is scheduled
+        (:meth:`apply_batch` past the rebuild crossover) — in those
+        states the next query runs a full saturation, not delta
+        propagation.
         """
         return self._saturated and not self._needs_rebuild
 
@@ -1010,10 +984,7 @@ class HornEngine:
         self._compiled.append(compiled)
         self._strata = None
         if self._saturated:
-            if self.strategy == "seminaive":
-                self._pending_clauses.append(compiled)
-            else:
-                self._saturated = False
+            self._pending_clauses.append(compiled)
 
     def add_clauses(self, clauses: Iterable[HornClause]) -> None:
         for clause in clauses:
@@ -1133,16 +1104,10 @@ class HornEngine:
     # evaluation
     # ------------------------------------------------------------------
     def _schedule(self) -> list[list[CompiledClause]]:
-        """The stratum schedule (cached): :func:`_stratify` over the
-        compiled program under ``stratified`` scheduling, the whole
-        program as one stratum under ``flat``."""
+        """The stratum schedule: :func:`_stratify` over the compiled
+        program, cached until the clause set changes."""
         if self._strata is None:
-            if self.scheduling == "stratified":
-                self._strata = _stratify(self._compiled)
-            else:
-                self._strata = (
-                    [list(self._compiled)] if self._compiled else []
-                )
+            self._strata = _stratify(self._compiled)
         return self._strata
 
     def _record_new(
@@ -1158,12 +1123,11 @@ class HornEngine:
         self,
         stratum: list[CompiledClause],
         delta0: dict[str, set[Atom]],
-        max_rounds: int | None = None,
-    ) -> tuple[list[Atom], bool]:
-        """Semi-naive rounds over one stratum; returns (new facts, at
-        fixpoint).  Only (clause, position) pairs whose predicate is in
-        the round's delta are visited; facts derived in a round join in
-        the next one (snapshot semantics)."""
+    ) -> list[Atom]:
+        """Semi-naive rounds over one stratum to its fixpoint; returns
+        the new facts.  Only (clause, position) pairs whose predicate
+        is in the round's delta are visited; facts derived in a round
+        join in the next one (snapshot semantics)."""
         store = self._store
         stats = self.last_stats
         schedule: dict[str, list[tuple[CompiledClause, _JoinPlan]]] = {}
@@ -1176,9 +1140,7 @@ class HornEngine:
             if facts and pred in schedule
         }
         all_new: list[Atom] = []
-        rounds = 0
         while delta:
-            rounds += 1
             stats["rounds"] += 1
             round_new: list[Atom] = []
             round_set: set[Atom] = set()
@@ -1196,16 +1158,12 @@ class HornEngine:
             for fact in round_new:
                 store.add(fact)
             all_new.extend(round_new)
-            if not round_new:
-                return all_new, True
-            if max_rounds is not None and rounds >= max_rounds:
-                return all_new, False
             next_delta: dict[str, set[Atom]] = {}
             for fact in round_new:
                 if fact[0] in schedule:
                     next_delta.setdefault(fact[0], set()).add(fact)
             delta = next_delta
-        return all_new, True
+        return all_new
 
     def _initial_delta(
         self, stratum: list[CompiledClause]
@@ -1218,53 +1176,6 @@ class HornEngine:
             for pred in body_preds
             if self._store.pool_size(pred)
         }
-
-    def _saturate_seminaive(self, max_rounds: int | None) -> tuple[int, bool]:
-        derived = 0
-        at_fixpoint = True
-        if max_rounds is None:
-            strata = self._schedule()
-        else:
-            # bounded runs use flat scheduling so "a round" means the
-            # same thing under both strategies (see saturate()).
-            strata = [list(self._compiled)] if self._compiled else []
-        self.last_stats["strata"] = len(strata)
-        for stratum in strata:
-            new, fixed = self._eval_stratum(
-                stratum, self._initial_delta(stratum), max_rounds
-            )
-            derived += len(new)
-            at_fixpoint = at_fixpoint and fixed
-        return derived, at_fixpoint
-
-    def _saturate_naive(self, max_rounds: int | None) -> tuple[int, bool]:
-        store = self._store
-        stats = self.last_stats
-        stats["strata"] = 1 if self._compiled else 0  # naive is flat
-        derived_total = 0
-        rounds = 0
-        while True:
-            rounds += 1
-            stats["rounds"] += 1
-            round_new: list[Atom] = []
-            round_set: set[Atom] = set()
-            for cc in self._compiled:
-                stats["activations"] += 1
-                for head, premises in self._run_plan(cc, cc.full_plan, None):
-                    if head in round_set or head in store:
-                        continue
-                    round_set.add(head)
-                    round_new.append(head)
-                    self._record_new(cc, head, premises)
-            if round_new:
-                self._derived_ever = True
-            for fact in round_new:
-                store.add(fact)
-            derived_total += len(round_new)
-            if not round_new:
-                return derived_total, True
-            if max_rounds is not None and rounds >= max_rounds:
-                return derived_total, False
 
     def _propagate_pending(self) -> int:
         """Incremental saturation: push only the queued deltas.
@@ -1324,7 +1235,7 @@ class HornEngine:
         }
         if not delta0:
             return 0
-        new, _ = self._eval_stratum(stratum, delta0)
+        new = self._eval_stratum(stratum, delta0)
         for fact in new:
             by_pred.setdefault(fact[0], set()).add(fact)
         return len(new)
@@ -1474,8 +1385,9 @@ class HornEngine:
         stats["rederived"] = rederived
 
     def _reset_to_base(self) -> None:
-        """Replay the store from the asserted facts (retraction fallback
-        for naive / not-yet-saturated engines).
+        """Replay the store from the asserted facts: the recovery path
+        after a saturation that raised part-way, and the rebuild a
+        batch past the crossover schedules.
 
         In place: the store object (possibly caller-supplied) keeps its
         identity and any deletion tombstones an external overlay owner
@@ -1496,40 +1408,23 @@ class HornEngine:
         self._pending_clause_retractions = []
         self._needs_rebuild = False
 
-    def saturate(self, *, max_rounds: int | None = None) -> int:
-        """Run forward chaining; return the number of new facts.
+    def saturate(self) -> int:
+        """Run forward chaining to the fixpoint; return the number of
+        new facts.
 
-        Unbounded (``max_rounds=None``) runs reach the fixpoint —
-        incrementally when only queued deltas are outstanding: queued
+        Incremental when only queued deltas are outstanding: queued
         retractions run the DRed overdelete/rederive pass first
-        (``mode == "retract"``), then queued additions propagate.
-        Bounded runs evaluate ``max_rounds`` flat snapshot rounds
-        (facts derived in round *r* join in round *r + 1*), which makes
-        the result identical under ``naive`` and ``seminaive``; the
-        engine stays unsaturated unless the bound happened to reach
-        the fixpoint.  Datalog saturation always terminates because
-        the Herbrand base over the finite constants is finite.
+        (``mode == "retract"``), then queued additions propagate
+        (``mode == "incremental"``).  Otherwise the strata are
+        evaluated from the stored facts (``mode == "full"``).  Datalog
+        saturation always terminates because the Herbrand base over
+        the finite constants is finite.
         """
-        if self._needs_rebuild or (
-            max_rounds is not None
-            and (self._pending_retractions or self._pending_clause_retractions)
-        ):
-            # Retractions cannot fold into a bounded round-0 delta, and
-            # naive / unsaturated engines have no cone to chase: replay
-            # the store from the asserted facts and saturate fresh.
+        if self._needs_rebuild:
+            # No fixpoint to repair (a saturation raised part-way), or a
+            # batch crossed the rebuild crossover: replay the store from
+            # the asserted facts and saturate fresh.
             self._reset_to_base()
-        if max_rounds is not None:
-            self.last_stats = _new_stats("bounded")
-            # Queued deltas fold into the bounded run's round-0 delta.
-            self._pending_facts = []
-            self._pending_clauses = []
-            if self.strategy == "seminaive":
-                derived, at_fixpoint = self._saturate_seminaive(max_rounds)
-            else:
-                derived, at_fixpoint = self._saturate_naive(max_rounds)
-            self._saturated = at_fixpoint
-            self.last_stats["derived"] = derived
-            return derived
         if self._saturated:
             has_retractions = bool(
                 self._pending_retractions or self._pending_clause_retractions
@@ -1553,10 +1448,12 @@ class HornEngine:
             self.last_stats = _new_stats("full")
             self._pending_facts = []
             self._pending_clauses = []
-            if self.strategy == "seminaive":
-                derived, _ = self._saturate_seminaive(None)
-            else:
-                derived, _ = self._saturate_naive(None)
+            strata = self._schedule()
+            self.last_stats["strata"] = len(strata)
+            derived = 0
+            for stratum in strata:
+                new = self._eval_stratum(stratum, self._initial_delta(stratum))
+                derived += len(new)
         self._saturated = True
         self.last_stats["derived"] = derived
         return derived
@@ -1840,6 +1737,5 @@ class HornEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<HornEngine facts={len(self._store)} "
-            f"clauses={len(self._clauses)} strategy={self.strategy} "
-            f"scheduling={self.scheduling}>"
+            f"clauses={len(self._clauses)}>"
         )

@@ -90,10 +90,11 @@ class PagedFactStore:
 
     Duck-types :class:`repro.inference.horn.FactStore` (the engine and
     the serving snapshot readers never check the class), including the
-    two private touchpoints the engine uses: ``_base`` (always ``None``
-    — a paged store is a root store; overlays layer *on top of* it via
-    ``FactStore(base=paged)``) and ``_facts`` (a materializing
-    property, hit only by legacy rebuild paths).
+    one private touchpoint the engine uses: ``_facts``, a materializing
+    property read only when the engine replays from its base facts
+    (after a saturation raised part-way, or a batch crossed the rebuild
+    crossover).  A paged store is always a root store; overlays layer
+    *on top of* it via ``FactStore(base=paged)``.
 
     ``path=None`` creates a private temporary database file that
     :meth:`close` (or garbage collection) removes; ``":memory:"`` keeps
@@ -102,9 +103,6 @@ class PagedFactStore:
     """
 
     kind = "paged"
-    # root-store markers, read by HornEngine._facts / SessionManager
-    _base = None
-    _visible = None
 
     def __init__(
         self,
@@ -448,7 +446,7 @@ class PagedFactStore:
 
     @property
     def _facts(self) -> set[Atom]:
-        """Materialized fact set (legacy rebuild paths only — O(n))."""
+        """Materialized fact set (the engine's replay from base — O(n))."""
         return set(self.iter_facts())
 
     def copy(self) -> "PagedFactStore":

@@ -15,14 +15,13 @@ ontologies.  Each matcher proposes scored rule candidates:
 * :class:`StructuralMatcher`      — unmatched label pairs whose graph
   neighborhoods align with already-proposed pairs.
 
-Every matcher runs **blocked** by default: an inverted index — from
-normalized lemma, synset id, or anchor-neighbor signature to candidate
-terms — generates exactly the pairs that can match, so the pairs a
-matcher examines grow with its *output*, not with ``|o1| x |o2|``.
-The pre-index all-pairs loops are preserved behind
-``blocking=False`` as the parity baseline; a matcher records the
-pairs it examined in ``last_pairs`` and :meth:`SkatEngine.propose`
-aggregates them into ``last_stats`` for the benchmarks.
+Every matcher runs **blocked**: an inverted index — from normalized
+lemma, synset id, or anchor-neighbor signature to candidate terms —
+generates exactly the pairs that can match, so the pairs a matcher
+examines grow with its *output*, not with ``|o1| x |o2|``.  A matcher
+records the pairs it examined in ``last_pairs`` and
+:meth:`SkatEngine.propose` aggregates them into ``last_stats`` for the
+benchmarks.
 
 :func:`articulate_with_expert` is the full §2.4 loop: propose → expert
 review → generate → infer → propose again, to fixpoint.
@@ -42,6 +41,7 @@ from repro.core.rules import (
     TermOperand,
     TermRef,
 )
+from repro.errors import LexiconError
 from repro.inference.engine import OntologyInferenceEngine
 from repro.lexicon.expert import (
     ExpertPolicy,
@@ -102,9 +102,8 @@ class ExactLabelMatcher(Matcher):
 
     name = "exact"
 
-    def __init__(self, *, score: float = 0.95, blocking: bool = True) -> None:
+    def __init__(self, *, score: float = 0.95) -> None:
         self.score = score
-        self.blocking = blocking
 
     def _emit(self, o1: Ontology, term1: str, o2: Ontology, term2: str):
         reason = f"labels {term1!r} / {term2!r} normalize identically"
@@ -114,8 +113,6 @@ class ExactLabelMatcher(Matcher):
         ]
 
     def propose(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        if not self.blocking:
-            return self._propose_scan(o1, o2)
         by_norm: dict[str, list[str]] = {}
         for term in o2.terms():
             by_norm.setdefault(normalize_lemma(term), []).append(term)
@@ -127,20 +124,6 @@ class ExactLabelMatcher(Matcher):
                 candidates.extend(self._emit(o1, term1, o2, term2))
         return candidates
 
-    def _propose_scan(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        """All-pairs baseline: compare every ``(term1, term2)``."""
-        candidates: list[MatchCandidate] = []
-        terms2 = list(o2.terms())
-        self.last_pairs = 0
-        for term1 in o1.terms():
-            norm1 = normalize_lemma(term1)
-            for term2 in terms2:
-                self.last_pairs += 1
-                if norm1 == normalize_lemma(term2):
-                    candidates.extend(self._emit(o1, term1, o2, term2))
-        return candidates
-
-
 class SynonymMatcher(Matcher):
     """Labels sharing a lexicon synset suggest equivalent concepts."""
 
@@ -151,11 +134,9 @@ class SynonymMatcher(Matcher):
         lexicon: MiniWordNet | None = None,
         *,
         score: float = 0.85,
-        blocking: bool = True,
     ) -> None:
         self.lexicon = lexicon if lexicon is not None else seed_lexicon()
         self.score = score
-        self.blocking = blocking
 
     def _emit(self, o1: Ontology, term1: str, o2: Ontology, term2: str):
         reason = f"{term1!r} and {term2!r} share a synset"
@@ -165,8 +146,6 @@ class SynonymMatcher(Matcher):
         ]
 
     def propose(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        if not self.blocking:
-            return self._propose_scan(o1, o2)
         # Blocking key: synset id.  Two terms are synonyms iff they
         # share a synset, so indexing o2's terms by synset id generates
         # exactly the synonym pairs — never the full cross product.
@@ -193,23 +172,6 @@ class SynonymMatcher(Matcher):
                     candidates.extend(self._emit(o1, term1, o2, term2))
         return candidates
 
-    def _propose_scan(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        """All-pairs baseline: ``are_synonyms`` on every pair."""
-        candidates: list[MatchCandidate] = []
-        terms2 = list(o2.terms())
-        self.last_pairs = 0
-        for term1 in o1.terms():
-            if not self.lexicon.knows(term1):
-                continue
-            for term2 in terms2:
-                self.last_pairs += 1
-                if normalize_lemma(term1) == normalize_lemma(term2):
-                    continue  # the exact matcher owns this pair
-                if self.lexicon.are_synonyms(term1, term2):
-                    candidates.extend(self._emit(o1, term1, o2, term2))
-        return candidates
-
-
 class HypernymMatcher(Matcher):
     """Lexicon hypernymy suggests a *directed* specialization rule.
 
@@ -225,11 +187,9 @@ class HypernymMatcher(Matcher):
         lexicon: MiniWordNet | None = None,
         *,
         base_score: float = 0.75,
-        blocking: bool = True,
     ) -> None:
         self.lexicon = lexicon if lexicon is not None else seed_lexicon()
         self.base_score = base_score
-        self.blocking = blocking
 
     def _emit_pair(
         self, o1: Ontology, term1: str, o2: Ontology, term2: str,
@@ -237,8 +197,8 @@ class HypernymMatcher(Matcher):
     ) -> MatchCandidate | None:
         """One directed suggestion per pair, specific side first.
 
-        Mirrors the baseline's if/elif: when hypernymy somehow holds in
-        both directions, the ``o1 -> o2`` reading wins.
+        When hypernymy somehow holds in both directions, the
+        ``o1 -> o2`` reading wins.
         """
         if hyp12:
             similarity = self.lexicon.similarity(term1, term2)
@@ -259,8 +219,6 @@ class HypernymMatcher(Matcher):
         return None
 
     def propose(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        if not self.blocking:
-            return self._propose_scan(o1, o2)
         lexicon = self.lexicon
         # Blocking key: synset id.  term1 is a hyponym of term2 iff the
         # hypernym closure of term1's synsets meets term2's synsets, so
@@ -311,30 +269,6 @@ class HypernymMatcher(Matcher):
                 candidates.append(candidate)
         return candidates
 
-    def _propose_scan(self, o1: Ontology, o2: Ontology) -> list[MatchCandidate]:
-        """All-pairs baseline: hypernym tests on every known pair."""
-        candidates: list[MatchCandidate] = []
-        terms1 = [t for t in o1.terms() if self.lexicon.knows(t)]
-        terms2 = [t for t in o2.terms() if self.lexicon.knows(t)]
-        self.last_pairs = 0
-        for term1 in terms1:
-            for term2 in terms2:
-                self.last_pairs += 1
-                if self.lexicon.are_synonyms(term1, term2):
-                    continue
-                candidate = self._emit_pair(
-                    o1,
-                    term1,
-                    o2,
-                    term2,
-                    self.lexicon.is_hyponym_of(term1, term2),
-                    self.lexicon.is_hyponym_of(term2, term1),
-                )
-                if candidate is not None:
-                    candidates.append(candidate)
-        return candidates
-
-
 class StructuralMatcher(Matcher):
     """Neighborhood agreement proposes pairs the lexicon cannot see.
 
@@ -342,6 +276,10 @@ class StructuralMatcher(Matcher):
     each other probably denote the same concept (the classic similarity
     -flooding intuition, scaled down).  Runs over the candidates of the
     lexical matchers, so it must be placed after them in the pipeline.
+
+    ``min_overlap`` must be positive: a pair needs at least one aligned
+    neighbor pair to clear it, which is what lets the anchor
+    neighborhoods block the search exactly.
     """
 
     name = "structural"
@@ -352,15 +290,17 @@ class StructuralMatcher(Matcher):
         *,
         min_overlap: float = 0.5,
         score: float = 0.6,
-        blocking: bool = True,
     ) -> None:
+        if min_overlap <= 0:
+            raise LexiconError(
+                f"min_overlap must be positive, got {min_overlap!r}"
+            )
         self.seeds = list(seeds) if seeds is not None else [
             ExactLabelMatcher(),
             SynonymMatcher(),
         ]
         self.min_overlap = min_overlap
         self.score = score
-        self.blocking = blocking
 
     @staticmethod
     def _neighbors(ontology: Ontology, term: str) -> set[str]:
@@ -424,11 +364,6 @@ class StructuralMatcher(Matcher):
         *,
         seed_candidates: Sequence[MatchCandidate] | None = None,
     ) -> list[MatchCandidate]:
-        # A pair needs aligned >= 1 to clear any positive threshold, so
-        # blocking by anchor neighborhoods is exact only for
-        # min_overlap > 0; a zero threshold needs the full scan.
-        if not self.blocking or self.min_overlap <= 0:
-            return self._propose_scan(o1, o2, seed_candidates)
         anchor_pairs = self._anchor_pairs(o1, o2, seed_candidates)
         matched1 = {a for a, _ in anchor_pairs}
         matched2 = {b for _, b in anchor_pairs}
@@ -468,45 +403,6 @@ class StructuralMatcher(Matcher):
                 )
         return candidates
 
-    def _propose_scan(
-        self,
-        o1: Ontology,
-        o2: Ontology,
-        seed_candidates: Sequence[MatchCandidate] | None = None,
-    ) -> list[MatchCandidate]:
-        """All-pairs baseline: score every unmatched pair."""
-        anchor_pairs = self._anchor_pairs(o1, o2, seed_candidates)
-        matched1 = {a for a, _ in anchor_pairs}
-        matched2 = {b for _, b in anchor_pairs}
-
-        candidates: list[MatchCandidate] = []
-        self.last_pairs = 0
-        for term1 in o1.terms():
-            if term1 in matched1:
-                continue
-            neigh1 = self._neighbors(o1, term1)
-            if not neigh1:
-                continue
-            for term2 in o2.terms():
-                if term2 in matched2:
-                    continue
-                neigh2 = self._neighbors(o2, term2)
-                if not neigh2:
-                    continue
-                self.last_pairs += 1
-                aligned = sum(
-                    1
-                    for a, b in anchor_pairs
-                    if a in neigh1 and b in neigh2
-                )
-                overlap = aligned / min(len(neigh1), len(neigh2))
-                if overlap >= self.min_overlap:
-                    candidates.extend(
-                        self._emit(o1, term1, o2, term2, aligned, overlap)
-                    )
-        return candidates
-
-
 @dataclass
 class SkatEngine:
     """The suggestion pipeline: run matchers, dedup, rank.
@@ -521,21 +417,14 @@ class SkatEngine:
     last_stats: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def default(
-        cls, lexicon: MiniWordNet | None = None, *, blocking: bool = True
-    ) -> "SkatEngine":
+    def default(cls, lexicon: MiniWordNet | None = None) -> "SkatEngine":
         lexicon = lexicon if lexicon is not None else seed_lexicon()
         lexical = [
-            ExactLabelMatcher(blocking=blocking),
-            SynonymMatcher(lexicon, blocking=blocking),
-            HypernymMatcher(lexicon, blocking=blocking),
+            ExactLabelMatcher(),
+            SynonymMatcher(lexicon),
+            HypernymMatcher(lexicon),
         ]
-        return cls(
-            matchers=[
-                *lexical,
-                StructuralMatcher(seeds=lexical[:2], blocking=blocking),
-            ]
-        )
+        return cls(matchers=[*lexical, StructuralMatcher(seeds=lexical[:2])])
 
     def propose(
         self,

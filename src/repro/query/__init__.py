@@ -9,7 +9,6 @@ The query path is layered: ``parse -> reformulate (logical) -> plan
 
 from repro.query.ast import Aggregate, Condition, Query
 from repro.query.engine import (
-    ExecutionPlan,
     QueryEngine,
     ResultRow,
     finalize_rows,
@@ -39,7 +38,6 @@ from repro.query.planner import (
 from repro.query.pushdown import (
     push_condition,
     pushable,
-    source_predicate,
     split_conditions,
 )
 from repro.query.parser import parse_query
@@ -58,7 +56,6 @@ __all__ = [
     "CallableWrapper",
     "Condition",
     "Conversion",
-    "ExecutionPlan",
     "ExecutionStats",
     "FilterOp",
     "FinalizeOp",
@@ -88,6 +85,5 @@ __all__ = [
     "push_condition",
     "pushable",
     "reformulate",
-    "source_predicate",
     "split_conditions",
 ]

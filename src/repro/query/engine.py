@@ -11,9 +11,8 @@
   wrappers answer the scans, with predicates and projections pushed
   down as far as each backend can take them.
 
-The historical entry points — ``plan`` / ``run`` / ``execute``,
-``ResultRow``, ``finalize_rows`` and the ``ExecutionPlan`` name — are
-kept as thin shims over the new layers.
+The entry points ``plan`` / ``run`` / ``execute``, ``ResultRow`` and
+``finalize_rows`` are thin wrappers over those layers.
 """
 
 from __future__ import annotations
@@ -38,16 +37,12 @@ from repro.query.wrappers import SourceWrapper, as_wrapper
 
 __all__ = [
     "AGGREGATE_ROW_ID",
-    "ExecutionPlan",
     "ExecutionStats",
     "QueryEngine",
     "ResultRow",
     "finalize_rows",
     "project_rows",
 ]
-
-#: Compatibility alias — plans are physical operator trees now.
-ExecutionPlan = PhysicalPlan
 
 
 class QueryEngine:

@@ -27,7 +27,6 @@ from repro.query.reformulate import SourcePlan
 __all__ = [
     "pushable",
     "push_condition",
-    "source_predicate",
     "split_conditions",
 ]
 
@@ -84,23 +83,3 @@ def split_conditions(
         else:
             residual.append(condition)
     return tuple(pushed), tuple(residual)
-
-
-def source_predicate(query: Query, plan: SourcePlan):
-    """A store-level filter for the pushable subset of a query's WHERE.
-
-    Returns ``(predicate, residual)``: ``predicate`` is a callable over
-    instances (or None when nothing pushes), ``residual`` the conditions
-    that must still run post-conversion.  Thin shim over
-    :func:`split_conditions` for callers that want an opaque filter.
-    """
-    pushed, residual = split_conditions(query, plan)
-    if not pushed:
-        return None, residual
-
-    def predicate(instance) -> bool:
-        return all(
-            c.evaluate(instance.get(c.attribute)) for c in pushed
-        )
-
-    return predicate, residual

@@ -6,8 +6,7 @@ set of class terms — so the engine never depends on how a source
 stores its data.  Scans carry the planner's pushdown hints through to
 the storage backend: structured ``conditions`` (evaluated in SQL by
 the SQLite backend), an opaque ``predicate``, and an ``attrs``
-projection.  ``fetch`` remains as an eager list-returning shim for old
-callers.
+projection.
 
 :class:`InstanceStoreWrapper` adapts the in-memory store;
 :class:`CallableWrapper` adapts any function (useful for synthetic or
@@ -34,9 +33,9 @@ __all__ = [
 class SourceWrapper:
     """Protocol: stream instances of the given classes.
 
-    ``conditions``/``predicate`` are optional source-side filters
-    (predicate pushdown); wrappers may apply them wherever is cheapest
-    for their backing store.  ``ordered`` promises scans yield unique
+    Subclasses implement :meth:`scan`.  ``conditions``/``predicate``
+    are optional source-side filters (predicate pushdown); wrappers
+    must apply both, wherever is cheapest for their backing store.  ``ordered`` promises scans yield unique
     instances in ascending ``instance_id`` order — the streaming
     executor's license to skip its sort barrier.
     """
@@ -53,37 +52,7 @@ class SourceWrapper:
         predicate: Callable[[Instance], bool] | None = None,
         attrs: frozenset[str] | None = None,
     ) -> Iterator[Instance]:
-        # Pre-streaming wrappers override fetch() only: fall back to
-        # it, applying the structured conditions here in Python.
-        if type(self).fetch is not SourceWrapper.fetch:
-            for instance in self.fetch(
-                classes,
-                include_subclasses=include_subclasses,
-                predicate=predicate,
-            ):
-                if conditions and not matches_conditions(
-                    instance, conditions
-                ):
-                    continue
-                yield instance
-            return
         raise NotImplementedError
-
-    def fetch(
-        self,
-        classes: Sequence[str],
-        *,
-        include_subclasses: bool = True,
-        predicate: Callable[[Instance], bool] | None = None,
-    ) -> list[Instance]:
-        """Eager compatibility shim over :meth:`scan`."""
-        return list(
-            self.scan(
-                classes,
-                include_subclasses=include_subclasses,
-                predicate=predicate,
-            )
-        )
 
 
 @dataclass

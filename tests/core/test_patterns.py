@@ -16,6 +16,11 @@ from repro.core.patterns import (
 )
 from repro.errors import PatternError
 
+from tests.support.baselines import find_matches_scan
+
+# the production search and the label-scan reference, by name
+MATCHERS = {"indexed": find_matches, "scan": find_matches_scan}
+
 
 @pytest.fixture
 def graph(carrier: Ontology) -> LabeledGraph:
@@ -120,6 +125,21 @@ class TestStrictMatching:
         results = list(find_matches(pattern, graph, limit=3))
         assert len(results) == 3
 
+    def test_zero_limit_yields_nothing(self) -> None:
+        g = LabeledGraph()
+        for node in ("a", "b", "c"):
+            g.add_node(node, "X")
+        for matcher in MATCHERS.values():
+            assert list(matcher(Pattern.single("X"), g, limit=0)) == []
+
+    def test_negative_limit_rejected(self) -> None:
+        g = LabeledGraph()
+        for node in ("a", "b", "c"):
+            g.add_node(node, "X")
+        for matcher in MATCHERS.values():
+            with pytest.raises(PatternError):
+                matcher(Pattern.single("X"), g, limit=-1)
+
     def test_wildcard_matches_every_node(self, graph: LabeledGraph) -> None:
         pattern = Pattern()
         pattern.add_node("x", None, "X")
@@ -211,11 +231,8 @@ class TestDeterministicEnumeration:
         for node in ("z9", "m5", "a1", "k3"):
             g.add_node(node, "Same")
         pattern = Pattern.single("Same")
-        for strategy in ("indexed", "scan"):
-            found = [
-                b["n0"]
-                for b in find_matches(pattern, g, strategy=strategy)
-            ]
+        for matcher in MATCHERS.values():
+            found = [b["n0"] for b in matcher(pattern, g)]
             assert found == sorted(found) == ["a1", "k3", "m5", "z9"]
 
     def test_wildcard_enumerates_sorted(self) -> None:
@@ -224,17 +241,9 @@ class TestDeterministicEnumeration:
             g.add_node(node)
         pattern = Pattern()
         pattern.add_node("x", None, "X")
-        for strategy in ("indexed", "scan"):
-            found = [
-                b.var("X")
-                for b in find_matches(pattern, g, strategy=strategy)
-            ]
+        for matcher in MATCHERS.values():
+            found = [b.var("X") for b in matcher(pattern, g)]
             assert found == ["b", "d", "q", "w"]
-
-    def test_unknown_strategy_rejected(self, graph: LabeledGraph) -> None:
-        with pytest.raises(PatternError):
-            list(find_matches(Pattern.single("Car"), graph,
-                              strategy="psychic"))
 
 
 class TestNonCopyingAccessors:
@@ -262,18 +271,15 @@ class TestScanBaselineParity:
     def test_node_id_colliding_with_label_keeps_candidates(self) -> None:
         """Regression: the scan path skipped any graph label that
         happened to equal a node id already collected, dropping valid
-        fuzzy candidates and diverging from the indexed strategy."""
+        fuzzy candidates and diverging from the indexed search."""
         g = LabeledGraph()
         g.add_node("car", "CAR")  # node id 'car' collides with...
         g.add_node("n1", "car")   # ...this node's label
         pattern = Pattern.single("CAR")
         config = MatchConfig(case_insensitive=True)
         results = {
-            strategy: sorted(
-                b["n0"]
-                for b in find_matches(pattern, g, config, strategy=strategy)
-            )
-            for strategy in ("indexed", "scan")
+            name: sorted(b["n0"] for b in matcher(pattern, g, config))
+            for name, matcher in MATCHERS.items()
         }
         assert results["scan"] == results["indexed"] == ["car", "n1"]
 
@@ -407,14 +413,8 @@ class TestIncrementalIndexMaintenance:
 
         g.add_node("Auto1", "Auto")
         g.add_edge("Auto1", "uses", "Truck")
-        indexed = [
-            b.mapping
-            for b in find_matches(pattern, g, config, strategy="indexed")
-        ]
-        scanned = [
-            b.mapping
-            for b in find_matches(pattern, g, config, strategy="scan")
-        ]
+        indexed = [b.mapping for b in find_matches(pattern, g, config)]
+        scanned = [b.mapping for b in find_matches_scan(pattern, g, config)]
         assert indexed == scanned
         assert {"n0": "Auto1", "n1": "Truck"} in indexed
 

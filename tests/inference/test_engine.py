@@ -9,7 +9,10 @@ from repro.core.ontology import Ontology
 from repro.core.rules import ImplicationRule
 from repro.errors import ContradictionError
 from repro.inference.engine import OntologyInferenceEngine
+from repro.inference.horn import HornEngine
 from repro.workloads.paper_example import generate_transport_articulation
+
+from tests.support.baselines import FlatHornEngine, NaiveHornEngine
 
 
 @pytest.fixture
@@ -157,28 +160,30 @@ class TestConsistency:
         assert ("carrier:Trucks", "carrier:Cars") in pairs
 
 
+def _rerun(engine_cls, horn: HornEngine) -> HornEngine:
+    """The same program (clauses and asserted facts) on a reference
+    engine from :mod:`tests.support.baselines`."""
+    reference = engine_cls()
+    reference.add_clauses(horn.clauses())
+    reference.add_facts(sorted(horn.base_facts()))
+    reference.saturate()
+    return reference
+
+
 class TestStrategiesAgree:
     def test_naive_matches_seminaive_on_articulation(
         self, transport: Articulation
     ) -> None:
-        semi = OntologyInferenceEngine.from_articulation(
-            transport, strategy="seminaive"
-        )
-        naive = OntologyInferenceEngine.from_articulation(
-            transport, strategy="naive"
-        )
-        assert semi.engine.facts() == naive.engine.facts()
+        semi = OntologyInferenceEngine.from_articulation(transport)
+        naive = _rerun(NaiveHornEngine, semi.engine)
+        assert semi.engine.facts() == naive.facts()
 
     def test_flat_matches_stratified_on_articulation(
         self, transport: Articulation
     ) -> None:
-        flat = OntologyInferenceEngine.from_articulation(
-            transport, scheduling="flat"
-        )
-        stratified = OntologyInferenceEngine.from_articulation(
-            transport, scheduling="stratified"
-        )
-        assert flat.engine.facts() == stratified.engine.facts()
+        stratified = OntologyInferenceEngine.from_articulation(transport)
+        flat = _rerun(FlatHornEngine, stratified.engine)
+        assert flat.facts() == stratified.engine.facts()
 
 
 class TestIncrementalRefresh:

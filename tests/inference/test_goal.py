@@ -144,11 +144,8 @@ class TestAgreementWithForward:
         sliced = GoalDirectedEngine()
         # Rebuild the same program from the forward engine's inputs.
         full_engine = full.engine
-        sliced.add_clauses(full_engine._clauses)
-        for fact in full_engine._facts:
-            if fact in full_engine._derivations:
-                continue  # derived later; only base facts seed the program
-            sliced.add_fact(fact)
+        sliced.add_clauses(full_engine.clauses())
+        sliced.add_facts(full_engine.base_facts())
         questions = [
             ("implies", "carrier:Car", "factory:Vehicle"),
             ("implies", "factory:Truck", "transport:CargoCarrierVehicle"),

@@ -6,7 +6,8 @@ property-style suites assert the guarantee the module promises: for
 randomized chain / tree / cyclic programs, incremental
 ``add_fact``-after-fixpoint is indistinguishable from building the
 engine from scratch — same facts, same ``holds`` answers, same
-``explain`` grounding — and every scheduling/strategy variant agrees.
+``explain`` grounding — and the flat and naive reference engines of
+:mod:`tests.support.baselines` agree with it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.rules import HornClause
 from repro.inference.horn import HornEngine
+
+from tests.support.baselines import FlatHornEngine, NaiveHornEngine
 
 TRANS = HornClause(
     ("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z"))
@@ -57,8 +60,8 @@ def _facts_for(edges, instances):
     return atoms
 
 
-def _scratch(atoms, **kwargs) -> HornEngine:
-    engine = HornEngine(**kwargs)
+def _scratch(atoms, engine_cls=HornEngine) -> HornEngine:
+    engine = engine_cls()
     engine.add_clauses(PROGRAM)
     engine.add_facts(atoms)
     engine.saturate()
@@ -138,15 +141,22 @@ class TestIncrementalClauseParity:
 
 
 class TestSchedulingParity:
-    @pytest.mark.parametrize("strategy", ["seminaive", "naive"])
-    @pytest.mark.parametrize("scheduling", ["stratified", "flat"])
-    def test_variant_matrix_agrees(self, strategy, scheduling) -> None:
+    # Naive evaluation has no schedule: both naive cells run the same
+    # reference engine.
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [
+            pytest.param(HornEngine, id="stratified-seminaive"),
+            pytest.param(NaiveHornEngine, id="stratified-naive"),
+            pytest.param(FlatHornEngine, id="flat-seminaive"),
+            pytest.param(NaiveHornEngine, id="flat-naive"),
+        ],
+    )
+    def test_variant_matrix_agrees(self, engine_cls) -> None:
         atoms = _facts_for(
             [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4)], [(0, 0), (1, 3)]
         )
-        engine = _scratch(
-            atoms, strategy=strategy, scheduling=scheduling
-        )
+        engine = _scratch(atoms, engine_cls)
         reference = _scratch(atoms)
         assert engine.facts() == reference.facts()
 
@@ -154,8 +164,8 @@ class TestSchedulingParity:
     @settings(max_examples=40, deadline=None)
     def test_stratified_equals_flat(self, edges, instances) -> None:
         atoms = _facts_for(edges, instances)
-        stratified = _scratch(atoms, scheduling="stratified")
-        flat = _scratch(atoms, scheduling="flat")
+        stratified = _scratch(atoms)
+        flat = _scratch(atoms, FlatHornEngine)
         assert stratified.facts() == flat.facts()
 
     @given(edge_lists)
@@ -165,48 +175,14 @@ class TestSchedulingParity:
     ) -> None:
         split = len(edges) // 2
         engines = []
-        for scheduling in ("stratified", "flat"):
-            engine = HornEngine(scheduling=scheduling)
+        for engine_cls in (HornEngine, FlatHornEngine):
+            engine = engine_cls()
             engine.add_clauses(PROGRAM)
             engine.add_facts(_facts_for(edges[:split], []))
             engine.saturate()
             engine.add_facts(_facts_for(edges[split:], []))
             engines.append(engine)
         assert engines[0].facts() == engines[1].facts()
-
-
-class TestBoundedRounds:
-    """``saturate(max_rounds=k)`` means the same thing under both
-    strategies: k snapshot rounds (facts derived in round r join in
-    round r + 1)."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_strategies_agree_per_round(self, k) -> None:
-        atoms = [("S", f"n{i}", f"n{i+1}") for i in range(9)]
-        results = {}
-        for strategy in ("seminaive", "naive"):
-            engine = HornEngine(strategy=strategy)
-            engine.add_clause(TRANS)
-            engine.add_facts(atoms)
-            engine.saturate(max_rounds=k)
-            results[strategy] = set(engine._facts)
-        assert results["seminaive"] == results["naive"]
-
-    def test_bounded_run_resumes_to_fixpoint(self) -> None:
-        engine = HornEngine()
-        engine.add_clause(TRANS)
-        engine.add_facts([("S", f"n{i}", f"n{i+1}") for i in range(9)])
-        engine.saturate(max_rounds=1)
-        assert not engine._saturated  # not yet at fixpoint
-        engine.saturate()
-        assert len(engine.facts("S")) == 10 * 9 // 2
-
-    def test_bounded_fixpoint_marks_saturated(self) -> None:
-        engine = HornEngine()
-        engine.add_clause(TRANS)
-        engine.add_facts([("S", "a", "b"), ("S", "b", "c")])
-        engine.saturate(max_rounds=10)
-        assert engine.saturate() == 0
 
 
 class TestDeltaDedupe:
@@ -231,12 +207,12 @@ class TestDeltaDedupe:
     def test_derived_counts_equal_across_strategies(self) -> None:
         atoms = [("S", f"n{i}", f"n{i+1}") for i in range(6)]
         counts = {}
-        for strategy in ("seminaive", "naive"):
-            engine = HornEngine(strategy=strategy)
+        for engine_cls in (HornEngine, NaiveHornEngine):
+            engine = engine_cls()
             engine.add_clause(TRANS)
             engine.add_facts(atoms)
-            counts[strategy] = engine.saturate()
-        assert counts["seminaive"] == counts["naive"]
+            counts[engine_cls] = engine.saturate()
+        assert counts[HornEngine] == counts[NaiveHornEngine]
 
     def test_incremental_work_tracks_delta(self) -> None:
         """Join work after a single insert must be a small fraction of

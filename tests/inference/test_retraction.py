@@ -20,6 +20,7 @@ from repro.errors import InferenceError
 from repro.inference.goal import GoalDirectedEngine
 from repro.inference.horn import FactStore, HornEngine
 
+from tests.support.baselines import FlatHornEngine, NaiveHornEngine
 from tests.support.churn_scripts import (
     CLAUSE_POOL,
     TRANS,
@@ -189,20 +190,18 @@ class TestRetractFact:
     ) -> None:
         """Facts supplied through a FactStore base overlay are
         extensional input too: the DRed cone must never swallow them
-        (seminaive must agree with the replay-from-base fallback)."""
-        for strategy in ("seminaive", "naive"):
+        (DRed must agree with the naive engine's replay from base)."""
+        for engine_cls in (HornEngine, NaiveHornEngine):
             base = FactStore()
             base.add(("S", "a", "c"))
-            engine = HornEngine(
-                strategy=strategy, store=FactStore(base=base)
-            )
+            engine = engine_cls(store=FactStore(base=base))
             engine.add_clause(TRANS)
             engine.add_fact(("S", "a", "b"))
             engine.add_fact(("S", "b", "c"))
             engine.saturate()
             engine.retract_fact(("S", "b", "c"))
-            assert engine.holds(("S", "a", "c")), strategy
-            assert not engine.holds(("S", "b", "c")), strategy
+            assert engine.holds(("S", "a", "c")), engine_cls
+            assert not engine.holds(("S", "b", "c")), engine_cls
 
     def test_non_ground_retraction_raises(self) -> None:
         engine = HornEngine()
@@ -283,16 +282,44 @@ class TestRetractClause:
         assert engine.facts() == expected.facts()
 
 
+class _FailingStore(FactStore):
+    """A store whose ``add`` raises once an armed insert budget is
+    spent — a disk filling up in the middle of a saturation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.budget: int | None = None
+
+    def add(self, atom):
+        if self.budget is not None:
+            if self.budget == 0:
+                raise OSError("no space left on device")
+            self.budget -= 1
+        return super().add(atom)
+
+
 class TestFallbackPaths:
-    def test_naive_strategy_replays_from_base(self) -> None:
-        engine = HornEngine(strategy="naive")
+    def test_partial_saturation_retraction_replays_from_base(self) -> None:
+        """A saturation that raised part-way leaves derived facts in an
+        unsaturated engine.  Retracting a base fact must then schedule
+        a replay from base: unlinking it in place would keep the
+        derived facts that cite it."""
+        store = _FailingStore()
+        engine = HornEngine(store=store)
         engine.add_clause(TRANS)
         engine.add_facts(chain(6))
-        engine.saturate()
-        engine.retract_fact(("S", "n2", "n3"))
-        assert engine.facts() == saturated(
-            chain(6, skip=2), clauses=(TRANS,)
-        ).facts()
+        store.budget = 5  # round one's five spans land, round two fails
+        with pytest.raises(OSError):
+            engine.saturate()
+        store.budget = None
+        assert not engine.is_saturated
+        assert ("S", "n1", "n3") in store  # derived through (n2, n3)
+        assert engine.retract_fact(("S", "n2", "n3"))
+        assert engine._needs_rebuild
+        expected = oracle_engine(set(chain(6, skip=2)), [TRANS]).facts()
+        assert len(expected) == 9
+        assert engine.facts() == expected
+        assert engine.store is store
 
     def test_unsaturated_engine_retracts_exactly(self) -> None:
         engine = HornEngine()
@@ -307,16 +334,6 @@ class TestFallbackPaths:
             chain(6, skip=2), clauses=(TRANS,)
         ).facts()
 
-    def test_bounded_rounds_after_retraction_replay_from_base(self) -> None:
-        engine = saturated(chain(9), clauses=(TRANS,))
-        engine.retract_fact(("S", "n0", "n1"))
-        engine.saturate(max_rounds=1)
-        fresh = HornEngine()
-        fresh.add_clause(TRANS)
-        fresh.add_facts(chain(9, skip=0))
-        fresh.saturate(max_rounds=1)
-        assert engine._facts == fresh._facts
-
     def test_replay_preserves_external_tombstones_and_store(self) -> None:
         """The replay fallback must not resurrect facts an external
         overlay owner tombstoned, nor detach the caller's store."""
@@ -324,12 +341,13 @@ class TestFallbackPaths:
         base.add(("S", "a", "b"))
         overlay = FactStore(base=base)
         overlay.remove(("S", "a", "b"))  # owner's deletion delta
-        engine = HornEngine(strategy="naive", store=overlay)
+        engine = HornEngine(store=overlay, rebuild_crossover=1)
         engine.add_clause(TRANS)
         engine.add_facts([("S", "b", "c"), ("S", "x", "y")])
         engine.saturate()
         assert not engine.holds(("S", "a", "c"))
-        engine.retract_fact(("S", "x", "y"))  # naive -> replay-from-base
+        report = engine.apply_batch(retracts=[("S", "x", "y")])
+        assert report["decision"] == "rebuild"  # replay from base
         assert not engine.holds(("S", "a", "c"))  # tombstone survived
         assert not engine.holds(("S", "a", "b"))
         assert engine.store is overlay  # same object the caller owns
@@ -419,15 +437,7 @@ class TestChurnScriptParity:
     @settings(max_examples=30, deadline=None)
     def test_stepwise_parity_flat(self, script) -> None:
         _, snapshots = replay_incremental(
-            script, scheduling="flat", seed_clauses=(TRANS,)
-        )
-        assert snapshots == oracle_states(script, seed_clauses=(TRANS,))
-
-    @given(churn_scripts())
-    @settings(max_examples=25, deadline=None)
-    def test_stepwise_parity_naive(self, script) -> None:
-        _, snapshots = replay_incremental(
-            script, strategy="naive", seed_clauses=(TRANS,)
+            script, engine_cls=FlatHornEngine, seed_clauses=(TRANS,)
         )
         assert snapshots == oracle_states(script, seed_clauses=(TRANS,))
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.ontology import Ontology
 from repro.core.rules import ImplicationRule
+from repro.errors import LexiconError
 from repro.lexicon.expert import (
     AcceptAllPolicy,
     ExpertDecision,
@@ -150,6 +151,13 @@ class TestStructuralMatcher:
         b.add_term("Y2")
         b.add_subclass("Y1", "Y2")
         assert StructuralMatcher().propose(a, b) == []
+
+    @pytest.mark.parametrize("min_overlap", [0.0, -0.5])
+    def test_non_positive_min_overlap_rejected(self, min_overlap) -> None:
+        """Anchor blocking only finds pairs with an aligned neighbor,
+        which every pair clears at a zero threshold."""
+        with pytest.raises(LexiconError):
+            StructuralMatcher(min_overlap=min_overlap)
 
 
 class TestSkatEngine:

@@ -1,13 +1,14 @@
 """Parity: indexed fuzzy matching ≡ the scanning baseline, and
 blocked SKAT proposal ≡ the all-pairs baseline.
 
-The indexed strategy resolves candidates through the cached
-:class:`MatchIndex` and compiled edge checks; the scan strategy is the
-preserved pre-index code path.  Both must emit *identical binding
-sequences* — same matches, same order — across strict, synonym,
-case-insensitive and relaxed-edge configurations, on randomized graphs
-and patterns.  Likewise the blocked SKAT matchers must propose exactly
-the candidates the all-pairs loops propose on randomized workloads.
+:func:`find_matches` resolves candidates through the cached
+:class:`MatchIndex` and compiled edge checks; the scan in
+:mod:`tests.support.baselines` is the pre-index code path.  Both must
+emit *identical binding sequences* — same matches, same order — across
+strict, synonym, case-insensitive and relaxed-edge configurations, on
+randomized graphs and patterns.  Likewise the blocked SKAT matchers
+must propose exactly the candidates the all-pairs loops propose on
+randomized workloads.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ from repro.lexicon.skat import (
     SynonymMatcher,
 )
 from repro.workloads.generator import WorkloadConfig, generate_workload
+
+from tests.support.baselines import (
+    AllPairsExactLabelMatcher,
+    AllPairsHypernymMatcher,
+    AllPairsStructuralMatcher,
+    AllPairsSynonymMatcher,
+    all_pairs_skat,
+    find_matches_scan,
+)
 
 # ----------------------------------------------------------------------
 # randomized graphs / patterns / configs
@@ -120,10 +130,13 @@ CONFIGS = {
 }
 
 
+_MATCHERS = {"indexed": find_matches, "scan": find_matches_scan}
+
+
 def bindings(pattern, graph, config, strategy):
     return [
         (dict(b.mapping), dict(b.variables))
-        for b in find_matches(pattern, graph, config, strategy=strategy)
+        for b in _MATCHERS[strategy](pattern, graph, config)
     ]
 
 
@@ -151,14 +164,12 @@ class TestIndexedEqualsScan:
         for limit in (1, 2, 5):
             indexed = [
                 dict(b.mapping)
-                for b in find_matches(
-                    pattern, graph, config, limit=limit, strategy="indexed"
-                )
+                for b in find_matches(pattern, graph, config, limit=limit)
             ]
             scan = [
                 dict(b.mapping)
-                for b in find_matches(
-                    pattern, graph, config, limit=limit, strategy="scan"
+                for b in find_matches_scan(
+                    pattern, graph, config, limit=limit
                 )
             ]
             assert indexed == scan
@@ -212,8 +223,8 @@ class TestBlockedSkatEqualsAllPairs:
         )
         lexicon = workload.lexicon(noise=noise, seed=seed)
         o1, o2 = workload.sources
-        blocked = SkatEngine.default(lexicon, blocking=True)
-        scan = SkatEngine.default(lexicon, blocking=False)
+        blocked = SkatEngine.default(lexicon)
+        scan = all_pairs_skat(lexicon)
         assert proposal_fingerprint(
             blocked.propose(o1, o2)
         ) == proposal_fingerprint(scan.propose(o1, o2))
@@ -241,25 +252,12 @@ class TestBlockedSkatEqualsAllPairs:
         lexicon = workload.lexicon(noise=noise, seed=seed)
         o1, o2 = workload.sources
         pairs = [
+            (ExactLabelMatcher(), AllPairsExactLabelMatcher()),
+            (SynonymMatcher(lexicon), AllPairsSynonymMatcher(lexicon)),
+            (HypernymMatcher(lexicon), AllPairsHypernymMatcher(lexicon)),
             (
-                ExactLabelMatcher(blocking=True),
-                ExactLabelMatcher(blocking=False),
-            ),
-            (
-                SynonymMatcher(lexicon, blocking=True),
-                SynonymMatcher(lexicon, blocking=False),
-            ),
-            (
-                HypernymMatcher(lexicon, blocking=True),
-                HypernymMatcher(lexicon, blocking=False),
-            ),
-            (
-                StructuralMatcher(
-                    seeds=[ExactLabelMatcher()], blocking=True
-                ),
-                StructuralMatcher(
-                    seeds=[ExactLabelMatcher()], blocking=False
-                ),
+                StructuralMatcher(seeds=[ExactLabelMatcher()]),
+                AllPairsStructuralMatcher(seeds=[ExactLabelMatcher()]),
             ),
         ]
         for blocked, scan in pairs:
@@ -275,8 +273,8 @@ class TestBlockedSkatEqualsAllPairs:
         )
 
         carrier, factory = carrier_ontology(), factory_ontology()
-        blocked = SkatEngine.default(blocking=True)
-        scan = SkatEngine.default(blocking=False)
+        blocked = SkatEngine.default()
+        scan = all_pairs_skat()
         assert proposal_fingerprint(
             blocked.propose(carrier, factory)
         ) == proposal_fingerprint(scan.propose(carrier, factory))

@@ -208,42 +208,3 @@ class TestStreamingExecution:
         stats = engine.last_stats
         assert set(stats.per_source) == {"carrier", "factory"}
         assert sum(stats.per_source.values()) == stats.rows_scanned
-
-
-class TestLegacyWrapperCompat:
-    def test_fetch_only_wrapper_still_executes(
-        self, transport: Articulation, factory_kb: InstanceStore
-    ) -> None:
-        """Wrappers written against the pre-streaming protocol
-        (override fetch, no scan) must keep working end to end."""
-        from repro.query.wrappers import SourceWrapper
-
-        store = carrier_store()
-
-        class LegacyWrapper(SourceWrapper):
-            name = "carrier"
-
-            def fetch(self, classes, *, include_subclasses=True,
-                      predicate=None):
-                return store.select(
-                    classes,
-                    predicate,
-                    include_subclasses=include_subclasses,
-                )
-
-        engine = QueryEngine(
-            transport,
-            {"carrier": LegacyWrapper(), "factory": factory_kb},
-        )
-        rows = engine.execute(
-            "SELECT price FROM transport:Vehicle WHERE price < 10000"
-        )
-        assert {r.source for r in rows} == {"factory"}
-        pushed = QueryEngine(
-            transport,
-            {"carrier": LegacyWrapper(), "factory": factory_kb},
-            pushdown=True,
-        )
-        assert [r.instance_id for r in pushed.execute(
-            "SELECT price FROM transport:Vehicle WHERE price < 10000"
-        )] == [r.instance_id for r in rows]

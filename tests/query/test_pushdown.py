@@ -9,7 +9,7 @@ from repro.core.rules import FunctionalRule, TermRef
 from repro.kb.instances import InstanceStore
 from repro.query.ast import Condition, Query
 from repro.query.engine import QueryEngine
-from repro.query.pushdown import push_condition, pushable, source_predicate
+from repro.query.pushdown import push_condition, pushable, split_conditions
 from repro.query.reformulate import Conversion, reformulate
 from repro.query.wrappers import InstanceStoreWrapper
 from repro.workloads.paper_example import (
@@ -102,7 +102,7 @@ class TestPushability:
         plan = carrier_price_plan(transport, query)
         assert not pushable(query.where[0], plan)
 
-    def test_source_predicate_splits_residual(
+    def test_split_conditions_splits_residual(
         self, transport: Articulation
     ) -> None:
         query = Query.over(
@@ -113,8 +113,8 @@ class TestPushability:
             ],
         )
         plan = carrier_price_plan(transport, query)
-        predicate, residual = source_predicate(query, plan)
-        assert predicate is not None
+        pushed, residual = split_conditions(query, plan)
+        assert pushed == (push_condition(query.where[0], plan),)
         assert residual == (Condition("price", "=", 42),)
 
 

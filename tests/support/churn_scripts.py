@@ -12,8 +12,10 @@ harness replays a script two ways:
   ride the DRed overdelete/rederive pass;
 * :func:`oracle_states` folds the same script into plain sets (the
   surviving base facts and clauses after each step) and saturates a
-  **fresh** engine from scratch per checkpoint — the ground truth the
-  incremental engine must match exactly.
+  **fresh** :class:`~tests.support.baselines.NaiveHornEngine` per
+  checkpoint — the ground truth the incremental engine must match
+  exactly.  The oracle shares only the join runtime with the engine
+  under test: no delta plans, no stratifier, no DRed pass.
 
 Scripts deliberately include no-op edits (retracting facts that were
 never asserted, re-adding live facts, retracting clauses twice): the
@@ -29,6 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core.rules import HornClause
 from repro.inference.horn import Atom, HornEngine
+
+from tests.support.baselines import NaiveHornEngine
 
 __all__ = [
     "CLAUSE_POOL",
@@ -139,8 +143,7 @@ def _apply(engine: HornEngine, op: ChurnOp) -> None:
 def replay_incremental(
     script: list[ChurnOp],
     *,
-    strategy: str = "seminaive",
-    scheduling: str = "stratified",
+    engine_cls: type[HornEngine] = HornEngine,
     saturate_every: int = 1,
     seed_clauses: tuple[HornClause, ...] = (),
     storage: str = "memory",
@@ -148,19 +151,19 @@ def replay_incremental(
 ) -> tuple[HornEngine, list[set[Atom]]]:
     """Replay a script into one engine; snapshot facts per checkpoint.
 
-    ``saturate_every=k`` saturates (and snapshots) after every ``k``-th
-    operation and once more at the end, so parity is checked mid-flight
-    — including states where additions and retractions are queued
-    together — not only after the final op.  ``storage="paged"`` runs
+    ``engine_cls`` picks the engine under test (a
+    :mod:`tests.support.baselines` variant, say).  ``saturate_every=k``
+    saturates (and snapshots) after every ``k``-th operation and once
+    more at the end, so parity is checked mid-flight — including
+    states where additions and retractions are queued together — not
+    only after the final op.  ``storage="paged"`` runs
     the whole script against the disk-backed
     :class:`~repro.kb.pagestore.PagedFactStore` (a RAM-resident SQLite
     database, so the paging machinery is exercised at test speed);
     ``buffer_facts`` sizes its buffer pool (the store default when
     ``None``).
     """
-    engine = HornEngine(
-        strategy=strategy,
-        scheduling=scheduling,
+    engine = engine_cls(
         storage=storage,
         storage_path=":memory:" if storage == "paged" else None,
         buffer_facts=buffer_facts,
@@ -180,8 +183,8 @@ def replay_incremental(
 def oracle_engine(
     base_facts: set[Atom], clauses: list[HornClause]
 ) -> HornEngine:
-    """A fresh from-scratch saturation over exactly these inputs."""
-    engine = HornEngine()
+    """A fresh from-scratch naive saturation over exactly these inputs."""
+    engine = NaiveHornEngine()
     engine.add_clauses(clauses)
     engine.add_facts(sorted(base_facts))
     engine.saturate()
