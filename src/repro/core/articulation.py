@@ -143,10 +143,12 @@ class Articulation:
     versions of every underlying graph and the stamp of the
     :class:`BridgeSet`.  ``bridges`` is always a :class:`BridgeSet`:
     assigning any other iterable of edges converts it.  Derived state
-    — the unified graph, the covered-term set, downstream inference
-    programs — is cached against that fingerprint instead of being
-    rebuilt per call; ``cache_stats`` counts the hits and misses tests
-    and benchmarks assert on.
+    — the unified graph, downstream inference programs — is cached
+    against that fingerprint instead of being rebuilt per call (the
+    covered-term set against the bridge stamp alone);
+    ``cache_stats`` counts the hits and misses tests and benchmarks
+    assert on.  :meth:`is_generated` tells the maintainer whether the
+    articulation is still exactly what the generator built.
     """
 
     ontology: Ontology
@@ -163,6 +165,9 @@ class Articulation:
         default=None, repr=False, compare=False
     )
     _covered_cache: tuple[tuple, set[str]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _generated_stamp: tuple | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -183,6 +188,22 @@ class Articulation:
         (bridge/function/rule swaps); invalidates every cached view."""
         self.version += 1
 
+    def _own_stamp(self) -> tuple:
+        """The change stamp of the articulation's own parts: ``version``,
+        the articulation graph, the bridge set, the function table and
+        the rule set (:meth:`fingerprint` without the source graphs)."""
+        function_stamp = 0
+        for label in self.functions:
+            function_stamp ^= hash(label)
+        return (
+            self.version,
+            self.ontology.graph.version,
+            self.bridges.stamp,
+            len(self.functions),
+            function_stamp,
+            self.rules.version,
+        )
+
     def fingerprint(self) -> tuple:
         """A cheap change stamp over everything the unified view reads.
 
@@ -194,23 +215,57 @@ class Articulation:
         external callers).  O(#sources + #functions): the bridges are
         never iterated.
         """
-        function_stamp = 0
-        for label in self.functions:
-            function_stamp ^= hash(label)
-        return (
-            self.version,
-            self.ontology.graph.version,
+        return self._own_stamp() + (
             tuple(
                 sorted(
                     (name, source.graph.version)
                     for name, source in self.sources.items()
                 )
             ),
-            self.bridges.stamp,
-            len(self.functions),
-            function_stamp,
-            self.rules.version,
         )
+
+    def _generation_stamp(self) -> tuple:
+        # The own stamp plus what it cannot see: a swapped ontology,
+        # graph, rule set or function rule, a renamed articulation, and
+        # the source set with the sources' relation registries.
+        # Objects are held, not their ids, so a recycled address can
+        # never false-match.
+        return (
+            self._own_stamp(),
+            self.ontology,
+            self.ontology.name,
+            self.ontology.graph,
+            self.rules,
+            tuple(self.functions.values()),
+            tuple(
+                (
+                    key,
+                    source,
+                    source.name,
+                    source.registry,
+                    len(source.registry),
+                )
+                for key, source in self.sources.items()
+            ),
+        )
+
+    def mark_generated(self) -> None:
+        """Record that the articulation is exactly what the generator
+        builds from its rule set (set by generation and reconstruction)."""
+        self._generated_stamp = self._generation_stamp()
+
+    def is_generated(self) -> bool:
+        """Is the articulation still exactly rule-generated?
+
+        True while nothing but the sources' structure has moved since
+        :meth:`mark_generated`.  Any other edit voids the mark: a hand
+        edit of the articulation graph, bridges, functions or rules,
+        ``inherit_structure`` output, a swapped source or a registry
+        change.  Source edits are the maintainer's business: it decides
+        whether they change what generation would build.
+        """
+        stamp = self._generated_stamp
+        return stamp is not None and stamp == self._generation_stamp()
 
     # ------------------------------------------------------------------
     # bridge navigation (used by algebra, query reformulation)
@@ -248,13 +303,14 @@ class Articulation:
 
         The maintenance story (§5.3) hinges on this set: changes to
         source terms outside it never require articulation updates.
-        Cached against :meth:`fingerprint` — the maintainer classifies
-        every change batch through it.
+        Cached against the bridge stamp and the articulation name, the
+        only inputs it reads, so source edits keep it warm — the
+        maintainer classifies every change batch through it.
         """
         with _CACHE_LOCK:
-            fp = self.fingerprint()
+            key = (self.bridges.stamp, self.name)
             cached = self._covered_cache
-            if cached is not None and cached[0] == fp:
+            if cached is not None and cached[0] == key:
                 self.cache_stats["covered_hits"] = (
                     self.cache_stats.get("covered_hits", 0) + 1
                 )
@@ -265,7 +321,7 @@ class Articulation:
                 for endpoint in (edge.source, edge.target):
                     if not endpoint.startswith(prefix):
                         covered.add(endpoint)
-            self._covered_cache = (fp, covered)
+            self._covered_cache = (key, covered)
             self.cache_stats["covered_misses"] = (
                 self.cache_stats.get("covered_misses", 0) + 1
             )
@@ -420,6 +476,7 @@ class ArticulationGenerator:
             sources=dict(self.sources),
             rules=ArticulationRuleSet(),
         )
+        articulation.mark_generated()
         self.extend(articulation, rules)
         return articulation
 
@@ -430,8 +487,15 @@ class ArticulationGenerator:
 
         Returns the number of rules newly applied.  Rules already in
         the articulation's rule set are skipped, which makes the
-        SKAT-expert iteration idempotent.
+        SKAT-expert iteration idempotent.  An articulation that was
+        exactly rule-generated when the call started (and shares this
+        generator's sources and name) stays marked so.
         """
+        generated = (
+            articulation.is_generated()
+            and articulation.sources == self.sources
+            and articulation.name == self.name
+        )
         applied = 0
         for rule in rules:
             if not articulation.rules.add(rule):
@@ -443,6 +507,8 @@ class ArticulationGenerator:
             else:  # pragma: no cover - defensive
                 raise ArticulationError(f"unsupported rule type: {rule!r}")
             applied += 1
+        if generated:
+            articulation.mark_generated()
         return applied
 
     # ------------------------------------------------------------------

@@ -11,38 +11,55 @@ given a batch of source changes (a churn report, or just the touched
 term set), it
 
 1. *classifies* every change as **free** (lands in the difference — no
-   articulation work) or **affecting** (touches an articulated term);
+   articulation work) or **affecting** (touches an articulated term,
+   or a term whose edit can change the common subclasses a
+   single-source conjunction rule bridges);
 2. *repairs* the articulation: drops bridges dangling from deleted
-   terms, deletes rules that can no longer be applied, and replays the
-   still-valid rules so the articulation reflects the new source state;
+   terms, deletes rules that can no longer be applied, and rebuilds
+   the articulation from the still-valid rules when that would change
+   it;
 3. *reports* the work it did in the same graph-op currency the
    benchmarks use.
 
-The repair is sound-by-reconstruction: rather than patching bridge by
-bridge, still-valid rules are re-run through the generator, which is
-deterministic, so the repaired articulation equals the one that would
-be generated from scratch with the surviving rule set — but the
-*decision* of whether any work is needed at all costs only a set
-intersection, which is the paper's maintenance win.
+Generation reads from a source only the existence of the terms rules
+name and, for a single-source conjunction rule, the common subclasses
+of its conjuncts.  So when the edited source has no such conjunction
+rule, no affected term was deleted, and the articulation is still
+exactly rule-generated
+(:meth:`~repro.core.articulation.Articulation.is_generated`), the
+articulation is kept as it is: generation from the same rules would
+rebuild it unchanged.  Every other affecting change is repaired by
+reconstruction: the still-valid rules are re-run through the
+deterministic generator, so the repaired articulation equals the one
+generated from scratch with the surviving rule set.  Either way the
+*decision* costs a set intersection plus an existence check per
+affected term, which is the paper's maintenance win.
+
+The touched terms must include every term the batch added or deleted.
+Keeping needs no more: every source term a rule names is a bridge
+endpoint, so its deletion is always an affecting change.  A
+conjunction rule's common subclasses can also change through an edge
+between two unbridged terms: :meth:`ArticulationMaintainer.classify`
+catches that when both ends of every added or removed edge are
+reported, a deleted term's edges included, as
+:func:`~repro.workloads.churn.apply_churn` does.
 
 The maintainer also keeps one :class:`OntologyInferenceEngine` alive
 across passes for semantic checks (disjointness violations, §1's
-articulation errors): free changes leave it untouched, and after a
-repair it is *refreshed* — the engine diffs the repaired program
-against what it has loaded, pushes new facts through the Horn
-evaluator's incremental delta propagation, and queues disappeared
-facts (dropped bridges, dropped rules, shed source edges) as
-*retractions* for the DRed overdelete/rederive pass
-(``inference_mode == "retract"``).  The whole shrink+grow diff rides
-one :meth:`~repro.inference.horn.HornEngine.apply_batch`, so a repair
+articulation errors): free changes leave it untouched, and after an
+affecting change it is *refreshed* — the engine brings each program
+part (source edges, articulation edges, bridges, rules) up to date
+from what moved, pushes new facts through the Horn evaluator's
+incremental delta propagation, and queues disappeared facts (dropped
+bridges, dropped rules, shed source edges) as *retractions* for the
+DRed overdelete/rederive pass (``inference_mode == "retract"``).  The
+whole shrink+grow diff rides one
+:meth:`~repro.inference.horn.HornEngine.apply_batch`, so a repair
 pays a single coalesced pass however many bridges and rules it moved —
 and when the diff's retraction count crosses the engine's measured
 rebuild crossover, the engine replays from base instead
-(``inference_mode == "batch-rebuild"``).  A repair that only removes
-bridges never re-walks the unchanged source graphs either: program
-extraction is cached per graph version, so the fingerprint path
-serves the retraction delta from the bridge/rule diff alone.  A full
-rebuild happens only when the axiom set itself changed.
+(``inference_mode == "batch-rebuild"``).  A full rebuild happens only
+when the axiom set itself changed.
 """
 
 from __future__ import annotations
@@ -53,6 +70,7 @@ from dataclasses import dataclass, field
 from repro.core.articulation import Articulation, ArticulationGenerator
 from repro.core.ontology import qualify
 from repro.core.rules import (
+    AndOperand,
     ArticulationRuleSet,
     FunctionalRule,
     ImplicationRule,
@@ -65,13 +83,23 @@ __all__ = ["MaintenanceReport", "ArticulationMaintainer"]
 
 @dataclass
 class MaintenanceReport:
-    """What one maintenance pass classified and did."""
+    """What one maintenance pass classified and did.
+
+    A pass that kept the articulation as it was reports no dropped
+    rules or bridges and zero replayed rules and ops, even though it
+    counts as work (``required_work``): the cached inference engine is
+    still refreshed, because source edges moved.
+    """
 
     free_terms: set[str] = field(default_factory=set)
     affected_terms: set[str] = field(default_factory=set)
+    # rules naming a term that no longer exists
     dropped_rules: list[Rule] = field(default_factory=list)
+    # bridges the reconstruction no longer generated
     dropped_bridges: int = 0
+    # surviving rules re-run through the generator (0 when kept)
     replayed_rules: int = 0
+    # graph operations the reconstruction spent (0 when kept)
     repair_ops: int = 0
     # "" / "initial" / "incremental" / "retract" / "replay" /
     # "batch-rebuild" (the shrink+grow diff crossed the engine's
@@ -97,6 +125,51 @@ class ArticulationMaintainer:
     def __init__(self, articulation: Articulation) -> None:
         self.articulation = articulation
         self._engine = None  # lazily-built OntologyInferenceEngine
+        # ((rule set, its version, articulation name), conjunctions)
+        self._conjunctions: tuple | None = None
+
+    # ------------------------------------------------------------------
+    # single-source AND rules: generation bridges their conjuncts'
+    # common subclasses, so it reads the source's structure there
+    # ------------------------------------------------------------------
+    def _conjunctions_by_source(self) -> dict[str, list[tuple[str, ...]]]:
+        """Source -> the conjunct terms of each single-source AND rule
+        over it, cached against the rule set's version."""
+        rules = self.articulation.rules
+        key = (rules, rules.version, self.articulation.name)
+        if self._conjunctions is not None and self._conjunctions[0] == key:
+            return self._conjunctions[1]
+        conjunctions: dict[str, list[tuple[str, ...]]] = {}
+        for rule in rules:
+            if not isinstance(rule, ImplicationRule):
+                continue
+            for step in rule.steps:
+                if not isinstance(step, AndOperand):
+                    continue
+                ontologies = {ref.ontology for ref in step.terms()}
+                if len(ontologies) == 1 and not ontologies & {
+                    None,
+                    self.articulation.name,
+                }:
+                    conjunctions.setdefault(ontologies.pop(), []).append(
+                        tuple(ref.term for ref in step.terms())
+                    )
+        self._conjunctions = (key, conjunctions)
+        return conjunctions
+
+    def _conjunction_region(self, source_name: str) -> set[str]:
+        """Terms of one source whose edits can change the common
+        subclasses of a single-source AND rule over it: the conjuncts
+        and their descendants.  An edit that changes a common-subclass
+        set adds or removes a subclass edge whose target lies here."""
+        source = self.articulation.sources[source_name]
+        region: set[str] = set()
+        for conjuncts in self._conjunctions_by_source().get(source_name, ()):
+            for term in conjuncts:
+                region.add(term)
+                if source.has_term(term):
+                    region |= source.descendants(term)
+        return region
 
     # ------------------------------------------------------------------
     # classification (the cheap §5.3 decision)
@@ -108,9 +181,11 @@ class ArticulationMaintainer:
 
         A term is *affected* when a bridge references it — i.e. it lies
         outside the difference of its source with the articulated
-        world.  Everything else is free: the paper's no-maintenance
-        region.  The covered-term set is version-stamp cached on the
-        articulation, so back-to-back change batches classify without
+        world — or when it lies in the region of a single-source AND
+        rule over ``source_name`` (see :meth:`_conjunction_region`).
+        Everything else is free: the paper's no-maintenance region.
+        The covered-term set is cached on the articulation against its
+        bridge stamp, so back-to-back change batches classify without
         re-walking the bridges.
         """
         if source_name not in self.articulation.sources:
@@ -118,10 +193,11 @@ class ArticulationMaintainer:
                 f"unknown source ontology {source_name!r}"
             )
         covered = self.articulation.covered_source_terms()
+        region = self._conjunction_region(source_name)
         free: set[str] = set()
         affected: set[str] = set()
         for term in touched_terms:
-            if qualify(source_name, term) in covered:
+            if term in region or qualify(source_name, term) in covered:
                 affected.add(term)
             else:
                 free.add(term)
@@ -155,9 +231,11 @@ class ArticulationMaintainer:
     ) -> MaintenanceReport:
         """React to a batch of changes in one source.
 
-        Free changes return immediately (``repair_ops == 0``).
-        Affecting changes trigger the reconstruction repair described
-        in the module docstring.
+        ``touched_terms`` must name every term the batch added or
+        deleted, and both ends of every edge it added or removed (see
+        the module docstring).  Free changes return immediately
+        (``repair_ops == 0``).  Affecting changes keep or reconstruct
+        the articulation as the module docstring describes.
         """
         report = MaintenanceReport()
         free, affected = self.classify(source_name, touched_terms)
@@ -165,7 +243,7 @@ class ArticulationMaintainer:
         report.affected_terms = affected
         if not affected:
             return report  # cached inference engine stays valid as-is
-        self._repair(report)
+        self._repair(report, source_name)
         return report
 
     # ------------------------------------------------------------------
@@ -203,8 +281,35 @@ class ArticulationMaintainer:
             for term, class_a, class_b in engine.contradictions()
         ]
 
-    def _repair(self, report: MaintenanceReport) -> None:
+    def _repair(self, report: MaintenanceReport, source_name: str) -> None:
+        if not self._keeps(source_name, report.affected_terms):
+            self._reconstruct(report)
+        if self._engine is not None:
+            refresh = self._engine.refresh_from_articulation(
+                self.articulation
+            )
+            report.inference_mode = str(refresh["mode"])
+
+    def _keeps(self, source_name: str, affected: set[str]) -> bool:
+        """Would generation rebuild the articulation unchanged?
+
+        Yes when it is still exactly rule-generated, the edited source
+        has no single-source AND rule, and every affected term still
+        exists.  In such a source the covered terms are exactly the
+        terms rules name, so no named term vanished and generation
+        would read what it read before (see the module docstring).
+        """
+        source = self.articulation.sources[source_name]
+        return (
+            self.articulation.is_generated()
+            and source_name not in self._conjunctions_by_source()
+            and all(source.has_term(term) for term in affected)
+        )
+
+    def _reconstruct(self, report: MaintenanceReport) -> None:
         articulation = self.articulation
+        # The full scan also drops a rule whose term vanished in an
+        # earlier, under-reported batch: generation would raise on it.
         surviving = ArticulationRuleSet()
         for rule in articulation.rules:
             if self._rule_still_valid(rule):
@@ -231,17 +336,12 @@ class ArticulationMaintainer:
         articulation.rules = rebuilt.rules
         articulation.log = rebuilt.log
         articulation.bump_version()
+        articulation.mark_generated()
 
         report.dropped_bridges -= len(rebuilt.bridges)
         report.dropped_bridges = max(report.dropped_bridges, 0)
         report.replayed_rules = len(surviving)
         report.repair_ops = rebuilt.cost()
-
-        if self._engine is not None:
-            refresh = self._engine.refresh_from_articulation(
-                self.articulation
-            )
-            report.inference_mode = str(refresh["mode"])
 
     def verify(self) -> list[str]:
         """Post-repair invariants; empty list means consistent.

@@ -20,14 +20,16 @@ detects articulation errors (equivalence collapses and declared-
 disjointness violations) for the expert to review.
 
 The engine rides the incremental Horn evaluator: when an articulation
-grows (the expert loop accepts more rules; maintenance replays a
-repair), :meth:`OntologyInferenceEngine.refresh_from_articulation`
-diffs the target program against what is loaded and feeds only the new
-facts through delta propagation instead of re-saturating from scratch.
-When it *shrinks* (a repair dropped bridges or rules, a source shed
-edges), the stale facts are queued as retractions and the Horn
-engine's DRed overdelete/rederive pass repairs the saturated state in
-place — a rebuild happens only when the axiom set changed.
+grows (the expert loop accepts more rules; a source gains edges),
+:meth:`OntologyInferenceEngine.refresh_from_articulation` works out
+the program delta part by part — each moved graph replays its bounded
+mutation journal, bridge and rule atoms are recomputed only when their
+stamps moved — and feeds only the new facts through delta propagation
+instead of re-saturating from scratch.  When it *shrinks* (a repair
+dropped bridges or rules, a source shed edges), the stale facts are
+queued as retractions and the Horn engine's DRed overdelete/rederive
+pass repairs the saturated state in place — a rebuild happens only
+when the axiom set changed.
 ``record_derivations=False`` trades :meth:`explain` support
 for a faster engine (the SKAT suggestion loop uses it).
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.core.articulation import Articulation
-from repro.core.graph import LabeledGraph
+from repro.core.graph import Edge, LabeledGraph
 from repro.core.ontology import Ontology, qualify, split_qualified
 from repro.core.relations import (
     INSTANCE_OF,
@@ -101,6 +103,42 @@ def _edge_atom(edge) -> Atom:
     return (edge.label, edge.source, edge.target)
 
 
+def _replay_edges(
+    ontology: Ontology, atoms: set[Atom], rows: list[tuple]
+) -> tuple[set[Atom], set[Atom]]:
+    """Apply a graph's journal rows to its qualified edge-atom set in
+    place; return the net ``(added, removed)`` atoms.
+
+    Only edge rows carry atoms (``remove_node`` journals its incident
+    ``remove_edge`` rows first).  Each edge a row names ends up in the
+    set exactly when the current graph still holds an edge mapping to
+    its atom — two labels map to ``instance_of``.
+    """
+    graph = ontology.graph
+    name = ontology.name
+    added: set[Atom] = set()
+    removed: set[Atom] = set()
+    edges = {row[2:] for row in rows if row[1] in ("add_edge", "remove_edge")}
+    for source, label, target in edges:
+        atom = _edge_atom(
+            Edge(qualify(name, source), label, qualify(name, target))
+        )
+        held = graph.has_edge(source, label, target) or (
+            atom[0] == _INSTANCE
+            and (
+                graph.has_edge(source, INSTANCE_OF.code, target)
+                or graph.has_edge(source, _INSTANCE, target)
+            )
+        )
+        if held and atom not in atoms:
+            atoms.add(atom)
+            added.add(atom)
+        elif not held and atom in atoms:
+            atoms.discard(atom)
+            removed.add(atom)
+    return added, removed
+
+
 class OntologyInferenceEngine:
     """Horn-based reasoner over one ontology or a whole articulation.
 
@@ -140,17 +178,19 @@ class OntologyInferenceEngine:
         self._disjoint_declared = False
         self._disjoint_pairs: list[tuple[str, str]] = []
         # the (clauses, facts) program currently loaded via an
-        # articulation — None when built some other way
+        # articulation — None when built some other way; the facts
+        # are the union of the program parts below
         self._program_clauses: list[HornClause] | None = None
         self._program_facts: set[Atom] | None = None
-        # per-part extraction cache: part name -> (graph object,
-        # (graph version, ontology name), edge atoms).  A source whose
-        # graph has not moved since the last refresh is never
-        # re-walked — the fingerprint components tell which parts
-        # need re-extraction.
-        self._part_cache: dict[
-            str, tuple[object, tuple[int, str], frozenset[Atom]]
-        ] = {}
+        # per-graph part: part name -> [graph object, graph version,
+        # ontology name, edge atoms].  A graph that has not moved since
+        # the last refresh is never re-read; one that moved replays its
+        # mutation journal into the atom set.
+        self._part_cache: dict[str, list] = {}
+        # the bridge part, keyed on (bridge stamp, function labels),
+        # and the rule part, keyed on the memoized atomic-pairs tuple
+        self._bridge_part: tuple[tuple, set[Atom]] | None = None
+        self._rule_part: tuple[tuple, set[Atom]] | None = None
         self._extracted_parts: list[str] = []
         # The articulation object and its fingerprint at the last
         # refresh: an unchanged stamp lets refresh_from_articulation
@@ -202,75 +242,108 @@ class OntologyInferenceEngine:
         engine.load_ontology(ontology)
         return engine
 
-    def _edge_part(self, name: str, ontology) -> frozenset[Atom]:
-        """One graph's edge atoms, cached against the graph's mutation
-        version (and identity — a repair can swap in a fresh graph
-        whose counter restarts).  The qualified atoms embed the
-        ontology's name, so an in-place rename invalidates too."""
+    def _edge_part(
+        self,
+        name: str,
+        ontology: Ontology,
+        added: list[Iterable[Atom]],
+        removed: list[Iterable[Atom]],
+    ) -> None:
+        """Bring one graph's edge atoms up to date; record what moved.
+
+        Unmoved graphs are skipped.  A moved graph replays the edge rows
+        of its mutation journal into the cached atom set.  The graph is
+        re-walked when the journal window has overrun, the graph object
+        was swapped (a repair's fresh graph restarts its counter), or
+        the ontology was renamed (qualified atoms embed the name).
+        """
         graph = ontology.graph
-        stamp = (graph.version, ontology.name)
-        cached = self._part_cache.get(name)
+        entry = self._part_cache.get(name)
         if (
-            cached is not None
-            and cached[0] is graph
-            and cached[1] == stamp
+            entry is not None
+            and entry[0] is graph
+            and entry[2] == ontology.name
         ):
-            return cached[2]
-        atoms = frozenset(
+            if entry[1] == graph.version:
+                return
+            rows = graph.journal_since(entry[1])
+            if rows is not None:
+                plus, minus = _replay_edges(ontology, entry[3], rows)
+                entry[1] = graph.version
+                added.append(plus)
+                removed.append(minus)
+                self._extracted_parts.append(name)
+                return
+        atoms = {
             _edge_atom(edge) for edge in ontology.qualified_graph().edges()
-        )
-        self._part_cache[name] = (graph, stamp, atoms)
+        }
+        added.append(atoms)
+        if entry is not None:
+            removed.append(entry[3])
+        self._part_cache[name] = [graph, graph.version, ontology.name, atoms]
         self._extracted_parts.append(name)
-        return atoms
 
     def _articulation_program(
-        self, articulation: Articulation
-    ) -> tuple[list[HornClause], set[Atom], set[Atom], set[tuple[str, str]]]:
-        """The Horn program an articulation denotes.
+        self,
+        articulation: Articulation,
+        added: list[Iterable[Atom]],
+        removed: list[Iterable[Atom]],
+    ) -> None:
+        """Bring every part of the articulation's Horn program up to date.
 
-        Returns ``(clauses, facts, edge_facts, rule_pairs)`` where
-        ``edge_facts ⊆ facts`` are the graph edges (used to filter
-        restated implications out of :meth:`derived_rules`) and
-        ``rule_pairs`` the stated atomic implications.
-
-        Extraction is *partial*: each source's edge atoms are cached
-        against its graph version, so a refresh after a change to one
-        source (or a bridge-only repair) re-walks only the graphs that
-        actually moved; bridge and rule atoms are recomputed every
-        time — they are proportional to the articulation, not to the
-        sources.
+        The program is the union of its parts: each source's and the
+        articulation ontology's edge atoms, the bridge atoms and the
+        stated rules' ``implies`` atoms.  Each part is recomputed only
+        when its own inputs moved — a graph's version, the bridge stamp
+        and function labels, the rule set's memoized atomic pairs.  A
+        journal replay appends its net change to ``added`` /
+        ``removed``; a recomputed part appends its new atom set to
+        ``added`` and its old one to ``removed``, uncopied (the caller
+        keeps only atoms the program lacks, and drops only atoms no
+        live part holds); a vanished part removes its whole set.
         """
-        clauses = list(_subsumption_axioms())
-        clauses.extend(
-            _axioms_for_registry(articulation.ontology.registry)
-        )
-        self._extracted_parts: list[str] = []
-        facts: set[Atom] = set()
-        edge_facts: set[Atom] = set()
-        live_parts: set[str] = set()
-        for name, source in articulation.sources.items():
-            edge_facts |= self._edge_part(name, source)
-            live_parts.add(name)
-        ontology_part = f"{articulation.name}!ontology"
-        edge_facts |= self._edge_part(ontology_part, articulation.ontology)
-        live_parts.add(ontology_part)
+        self._extracted_parts = []
+        live = list(articulation.sources.items())
+        live.append((f"{articulation.name}!ontology", articulation.ontology))
+        for name, ontology in live:
+            self._edge_part(name, ontology, added, removed)
         # Drop cache entries for parts the current articulation no
         # longer has (a vanished source, a renamed articulation): each
         # dead entry pins a whole graph plus its edge-atom set.
-        for stale in [p for p in self._part_cache if p not in live_parts]:
-            del self._part_cache[stale]
-        facts |= edge_facts
-        for bridge in articulation.bridges:
-            if bridge.label in articulation.functions:
-                continue  # conversion edges carry values, not subsumption
-            facts.add((bridge.label, bridge.source, bridge.target))
-        rule_pairs: set[tuple[str, str]] = set()
-        for specific, general in articulation.rules.atomic_pairs(
-            articulation.name
-        ):
-            rule_pairs.add((specific, general))
-            facts.add((IMPLIES, specific, general))
-        return clauses, facts, edge_facts, rule_pairs
+        names = {name for name, _ in live}
+        for dead in [p for p in self._part_cache if p not in names]:
+            removed.append(self._part_cache.pop(dead)[3])
+
+        functions = articulation.functions
+        key = (articulation.bridges.stamp, frozenset(functions))
+        if self._bridge_part is None or self._bridge_part[0] != key:
+            atoms = {
+                (bridge.label, bridge.source, bridge.target)
+                for bridge in articulation.bridges
+                # conversion edges carry values, not subsumption
+                if bridge.label not in functions
+            }
+            added.append(atoms)
+            if self._bridge_part is not None:
+                removed.append(self._bridge_part[1])
+            self._bridge_part = (key, atoms)
+
+        pairs = articulation.rules.atomic_pairs(articulation.name)
+        if self._rule_part is None or self._rule_part[0] is not pairs:
+            atoms = {(IMPLIES, spec, gen) for spec, gen in pairs}
+            added.append(atoms)
+            if self._rule_part is not None:
+                removed.append(self._rule_part[1])
+            self._rule_part = (pairs, atoms)
+            self._known_rule_pairs = set(pairs)
+
+    def _parts(self) -> Iterator[set[Atom]]:
+        """Every live part's atom set."""
+        for entry in self._part_cache.values():
+            yield entry[3]
+        for part in (self._bridge_part, self._rule_part):
+            if part is not None:
+                yield part[1]
 
     def _stamp_matches(
         self, articulation: Articulation, fingerprint: tuple
@@ -294,14 +367,16 @@ class OntologyInferenceEngine:
     ) -> dict[str, object]:
         """(Re)load an articulation, incrementally when possible.
 
-        When the articulation only *grew* relative to what is loaded
-        (the expert accepted more rules, a repair replayed a superset),
-        the new facts are queued as deltas for the Horn engine's
-        incremental propagation.  When facts *disappeared* (a repair
-        dropped bridges or rules, a source shed edges) but the axiom
-        set is unchanged, the difference is queued as retractions and
-        the Horn engine's DRed pass overdeletes/rederives instead of
-        rebuilding (``mode == "retract"``; a shrink diffed into an
+        The program delta is built part by part (see
+        :meth:`_articulation_program`): a moved source graph replays
+        its mutation journal, bridge and rule atoms are recomputed only
+        when their stamps moved, so the refresh after a small source
+        edit costs the edit, not the articulation.  New atoms are
+        queued as deltas for the Horn engine's incremental propagation.
+        Atoms no live part still holds (a repair dropped bridges or
+        rules, a source shed edges) are queued as retractions, and the
+        Horn engine's DRed pass overdeletes/rederives instead of
+        rebuilding (``mode == "retract"``; a shrink applied to an
         engine that never reached a fixpoint reports ``"replay"`` —
         the retraction is applied, but the next query saturates from
         the surviving base facts rather than chasing a cone).  The
@@ -309,11 +384,12 @@ class OntologyInferenceEngine:
         :meth:`~repro.inference.horn.HornEngine.apply_batch`; a diff
         whose retraction count crosses the engine's measured rebuild
         crossover replays from base instead of chasing the deletion
-        cone (``mode == "batch-rebuild"``).  Only an
-        axiom change still falls back to a rebuild.  Returns ``{"mode", "facts",
-        "added", "removed", "extracted"}`` — ``extracted`` lists the
-        graph parts actually re-walked (unchanged sources are served
-        from the per-part cache).
+        cone (``mode == "batch-rebuild"``).  Only an axiom change
+        still falls back to a rebuild, which loads the union of the
+        parts.  Returns ``{"mode", "facts", "added", "removed",
+        "extracted"}`` — ``extracted`` lists the graph parts whose
+        atoms were recomputed, by journal replay or by a walk
+        (unchanged graphs are served from the per-part cache).
 
         A refresh against the *same* articulation whose version stamp
         has not moved is a no-op: the program is not even re-extracted
@@ -330,49 +406,82 @@ class OntologyInferenceEngine:
                 "extracted": [],
             }
             return self.last_refresh
-        clauses, facts, edge_facts, rule_pairs = self._articulation_program(
-            articulation
+        clauses = list(_subsumption_axioms())
+        clauses.extend(
+            _axioms_for_registry(articulation.ontology.registry)
         )
-        removed = 0
         same_axioms = (
             self._program_facts is not None
             and self._program_clauses == clauses
         )
-        if same_axioms:
-            stale = self._program_facts - facts
-            fresh = facts - self._program_facts
-            # One batch for the whole shrink+grow diff: retractions
-            # queue first, additions second, and the next query pays a
-            # single overdelete/rederive/propagate pass — unless the
-            # batch's retraction count crossed the engine's measured
-            # rebuild crossover, in which case replaying from base is
-            # the cheaper repair ("batch-rebuild").  Evaluation stays
-            # deferred (saturate=False): queries saturate lazily.
-            batch = self.engine.apply_batch(fresh, stale, saturate=False)
-            removed = int(batch["retracted"])
-            added = int(batch["added"])
-            if batch["decision"] == "rebuild":
-                mode = "batch-rebuild"
-            elif stale:
-                # mode reports what the next query will actually do:
-                # the DRed pass needs a fixpoint to repair; a shrink
-                # diffed into a not-yet-saturated engine replays from
-                # the surviving base facts.
-                mode = "retract" if batch["decision"] == "dred" else "replay"
+        added_parts: list[Iterable[Atom]] = []
+        removed_parts: list[Iterable[Atom]] = []
+        try:
+            self._articulation_program(
+                articulation, added_parts, removed_parts
+            )
+            if same_axioms:
+                facts = self._program_facts
+                parts = list(self._parts())
+                fresh = {
+                    atom
+                    for part in added_parts
+                    for atom in part
+                    if atom not in facts
+                }
+                # parts can overlap: an atom leaves the program only
+                # when no live part still holds it
+                stale = {
+                    atom
+                    for part in removed_parts
+                    for atom in part
+                    if not any(atom in live for live in parts)
+                }
+                # One batch for the whole shrink+grow diff: retractions
+                # queue first, additions second, and the next query
+                # pays a single overdelete/rederive/propagate pass —
+                # unless the batch's retraction count crossed the
+                # engine's measured rebuild crossover, in which case
+                # replaying from base is the cheaper repair
+                # ("batch-rebuild").  Evaluation stays deferred
+                # (saturate=False): queries saturate lazily.
+                batch = self.engine.apply_batch(fresh, stale, saturate=False)
+                facts -= stale
+                facts |= fresh
+                removed = int(batch["retracted"])
+                added = int(batch["added"])
+                if batch["decision"] == "rebuild":
+                    mode = "batch-rebuild"
+                elif stale:
+                    # mode reports what the next query will actually
+                    # do: the DRed pass needs a fixpoint to repair; a
+                    # shrink diffed into a not-yet-saturated engine
+                    # replays from the surviving base facts.
+                    mode = (
+                        "retract" if batch["decision"] == "dred" else "replay"
+                    )
+                else:
+                    mode = "incremental"
             else:
-                mode = "incremental"
-        else:
-            mode = "rebuild" if self._program_facts is not None else "initial"
-            added = len(facts)
-            self.engine = self._new_horn_engine()
-            self.engine.add_clauses(clauses)
-            for fact in facts:
-                self.engine.add_fact(fact)
-            self._replay_disjointness()
+                mode = (
+                    "rebuild" if self._program_facts is not None else "initial"
+                )
+                facts = set().union(*self._parts())
+                added = len(facts)
+                removed = 0
+                self.engine = self._new_horn_engine()
+                self.engine.add_clauses(clauses)
+                for fact in facts:
+                    self.engine.add_fact(fact)
+                self._replay_disjointness()
+        except BaseException:
+            # The parts may have moved without the loaded program; only
+            # a rebuild from the parts brings the two back in line.
+            self._program_facts = None
+            raise
+        self._loaded_edges = set()
         self._program_clauses = clauses
         self._program_facts = facts
-        self._loaded_edges = edge_facts
-        self._known_rule_pairs = rule_pairs
         self._stamp_articulation = articulation
         self._stamp_fingerprint = fingerprint
         self.last_refresh = {
@@ -517,8 +626,13 @@ class OntologyInferenceEngine:
         edge.  The expert loop feeds these back as suggestions.
         """
         derived: list[ImplicationRule] = []
+        edge_parts = [entry[3] for entry in self._part_cache.values()]
+        edge_parts.append(self._loaded_edges)
         direct_edges = {
-            (atom[1], atom[2]) for atom in self._loaded_edges if len(atom) == 3
+            (atom[1], atom[2])
+            for atoms in edge_parts
+            for atom in atoms
+            if len(atom) == 3
         }
         for _, specific, general in sorted(self.engine.iter_facts(IMPLIES)):
             if specific == general:

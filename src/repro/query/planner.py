@@ -14,11 +14,13 @@ The query path is layered (EMBANKS-style plan/execute split):
 3. :mod:`repro.query.executor` evaluates the plan as iterator
    pipelines.
 
-Plans are cached in an LRU keyed on the query text plus a fingerprint
-of the articulation (bridges, conversion functions, and each source's
-graph), so repeated queries skip reformulation entirely while any
-articulation or ontology edit — the maintenance-under-churn scenario —
-invalidates stale entries automatically.
+Plans are cached in an LRU keyed on the query text plus the
+articulation's O(1) change stamp (:meth:`Articulation.fingerprint`,
+which moves with the bridges, conversion functions and every graph)
+and the identity of its conversion rules, so repeated queries skip
+reformulation entirely while any articulation or ontology edit — the
+maintenance-under-churn scenario — invalidates stale entries
+automatically.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.articulation import Articulation
-from repro.core.ontology import Ontology
 from repro.core.unified import UnifiedOntology
 from repro.errors import PlanningError
 from repro.query.ast import Condition, Query
@@ -192,62 +193,37 @@ class PhysicalPlan:
 # ----------------------------------------------------------------------
 # articulation fingerprinting (plan-cache invalidation)
 # ----------------------------------------------------------------------
-def _graph_fingerprint(ontology: Ontology) -> int:
-    # Terms matter too: an edge-free term is still a valid query target.
-    return hash(
-        (
-            ontology.name,
-            frozenset(ontology.terms()),
-            frozenset(
-                (edge.source, edge.label, edge.target)
-                for edge in ontology.graph.edges()
-            ),
-        )
-    )
+def articulation_fingerprint(articulation: Articulation) -> tuple:
+    """A value that changes whenever replanning could change.
 
-
-def articulation_fingerprint(articulation: Articulation) -> int:
-    """A value that changes whenever replanning could change: bridge
-    edges, registered conversion functions, the articulation's own
-    graph, or any source ontology's graph.
-
-    Deliberately recomputed on every plan() call — articulations are
-    mutated in place with no central mutation API, so there is nothing
-    safe to hang a memo off.  The cost is O(graph + rules) hashing,
-    which benchmarks put an order of magnitude below reformulation; a
-    future mutation-versioned Articulation could make hits O(1)."""
-    return hash(
-        (
-            articulation.name,
-            frozenset(
-                (edge.source, edge.label, edge.target)
-                for edge in articulation.bridges
-            ),
-            # Rule *identity*, not just labels: re-registering a rule
-            # under the same label (a rate update, the churn scenario)
-            # must invalidate cached plans.  expr_text pins textual
-            # rules; id() covers opaque callables — sound only because
-            # the cache pins the fingerprinted rule objects alive (see
-            # plan()), so a freed id can never be reused while a key
-            # derived from it is still in the cache.
-            frozenset(
-                (
-                    label,
-                    rule.expr_text,
-                    rule.inverse_expr_text,
-                    None if rule.expr_text is not None else id(rule.fn),
-                    None
-                    if rule.inverse_expr_text is not None
-                    else id(rule.inverse),
-                )
-                for label, rule in articulation.functions.items()
-            ),
-            tuple(
-                _graph_fingerprint(articulation.sources[name])
-                for name in sorted(articulation.sources)
-            ),
-            _graph_fingerprint(articulation.ontology),
-        )
+    :meth:`Articulation.fingerprint` already moves with every input
+    reformulation reads — bridge edges, registered conversion
+    functions, the articulation's own graph and every source graph —
+    at O(#sources + #functions) cost, so a plan-cache hit never walks
+    the bridges or graphs.  Source edits move it too, as they must:
+    reformulation reads source subclass edges."""
+    return (
+        articulation.name,
+        articulation.fingerprint(),
+        # Rule *identity*, not just labels: re-registering a rule under
+        # the same label (a rate update, the churn scenario) must
+        # invalidate cached plans.  expr_text pins textual rules; id()
+        # covers opaque callables — sound only because the cache pins
+        # the fingerprinted rule objects alive (see plan()), so a freed
+        # id can never be reused while a key derived from it is still
+        # in the cache.
+        frozenset(
+            (
+                label,
+                rule.expr_text,
+                rule.inverse_expr_text,
+                None if rule.expr_text is not None else id(rule.fn),
+                None
+                if rule.inverse_expr_text is not None
+                else id(rule.inverse),
+            )
+            for label, rule in articulation.functions.items()
+        ),
     )
 
 

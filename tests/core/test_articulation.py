@@ -264,6 +264,23 @@ class TestIncrementalExtend:
         generator.extend(art, parse_rules("Owner => Person"))
         assert art.cost() > cost_before
 
+    def test_generated_mark_survives_extend_and_source_edits(
+        self, generator: ArticulationGenerator
+    ) -> None:
+        """Generation marks the articulation as exactly rule-generated;
+        extend and source edits keep the mark, edits made outside the
+        generator void it."""
+        art = generator.generate(parse_rules("carrier:Car => factory:Vehicle"))
+        assert art.is_generated()
+        generator.extend(art, parse_rules("carrier:Cars => transport:Fleet"))
+        art.sources["carrier"].ensure_term("Scooter")
+        assert art.is_generated()
+        assert generator.inherit_structure(art, "carrier") > 0
+        assert not art.is_generated()
+        # once void, extend does not restore the mark
+        generator.extend(art, parse_rules("Owner => Person"))
+        assert not art.is_generated()
+
 
 class TestArticulationQueries:
     def test_source_terms_implying(self, transport: Articulation) -> None:

@@ -4,16 +4,33 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.articulation import Articulation
+from repro.core.articulation import Articulation, ArticulationGenerator
+from repro.core.graph import Edge
 from repro.core.maintenance import ArticulationMaintainer
+from repro.core.ontology import Ontology, qualify
+from repro.core.rules import ImplicationRule
 from repro.errors import ArticulationError
+from repro.inference.engine import OntologyInferenceEngine
+from repro.reliability import FaultInjected, FaultPlan
 from repro.workloads.churn import apply_churn
+from repro.workloads.generator import WorkloadConfig, generate_workload
 from repro.workloads.paper_example import generate_transport_articulation
 
 
 @pytest.fixture
 def maintainer(transport: Articulation) -> ArticulationMaintainer:
     return ArticulationMaintainer(transport)
+
+
+def _assert_matches_generation(articulation: Articulation) -> None:
+    """The articulation equals generation from scratch over its sources
+    and rules: same bridges, same ontology structure, same functions."""
+    fresh = ArticulationGenerator(
+        articulation.sources.values(), name=articulation.name
+    ).generate(articulation.rules.copy())
+    assert articulation.bridges == fresh.bridges
+    assert articulation.ontology.same_structure(fresh.ontology)
+    assert set(articulation.functions) == set(fresh.functions)
 
 
 class TestClassification:
@@ -107,17 +124,93 @@ class TestAffectingChanges:
         assert "DGToEuroFn()" in transport.functions
         assert maintainer.verify() == []
 
+    def test_hand_edited_articulation_is_reconstructed(
+        self, maintainer: ArticulationMaintainer, transport: Articulation
+    ) -> None:
+        """An edit made outside the generator voids the rule-generated
+        mark, so the next affecting change rebuilds rather than keeps."""
+        transport.bridges.add(
+            Edge("carrier:SUV", "SIBridge", "transport:Vehicle")
+        )
+        report = maintainer.apply_source_changes("carrier", ["Car"])
+        assert report.replayed_rules == len(transport.rules)
+        assert transport.is_generated()
+        _assert_matches_generation(transport)
+
     def test_affecting_change_without_deletion_replays(
         self, maintainer: ArticulationMaintainer, transport: Articulation
     ) -> None:
         """An edit that touches a covered term but deletes nothing
-        keeps all rules; the repair replays them all."""
-        n_rules = len(transport.rules)
+        keeps every rule, and in a source without a conjunction rule
+        the articulation already equals generation from scratch:
+        nothing is replayed."""
         report = maintainer.apply_source_changes("carrier", ["Car"])
         assert report.required_work
         assert not report.dropped_rules
-        assert report.replayed_rules == n_rules
+        assert report.replayed_rules == 0
         assert maintainer.verify() == []
+        _assert_matches_generation(transport)
+
+
+class TestConjunctionRegion:
+    def test_common_subclass_edit_between_unbridged_terms_repairs(
+        self, maintainer: ArticulationMaintainer, transport: Articulation
+    ) -> None:
+        """An edit between two unbridged terms can still make a new
+        common subclass of an AND rule's conjuncts; the generator
+        bridges every common subclass, so the edit is affecting."""
+        factory = transport.sources["factory"]
+        factory.ensure_term("Bus")
+        factory.add_subclass("Bus", "Vehicle")
+        maintainer.apply_source_changes("factory", ["Bus", "Vehicle"])
+        factory.ensure_term("Hauler")
+        factory.add_subclass("Hauler", "CargoCarrier")
+        maintainer.apply_source_changes("factory", ["Hauler", "CargoCarrier"])
+        factory.add_subclass("Bus", "Hauler")
+        report = maintainer.apply_source_changes("factory", ["Bus", "Hauler"])
+        assert report.affected_terms == {"Bus", "Hauler"}
+        assert (
+            Edge("factory:Bus", "SIBridge", "transport:CargoCarrierVehicle")
+            in transport.bridges
+        )
+        _assert_matches_generation(transport)
+
+    def test_common_subclass_deleted_and_reported_alone_repairs(
+        self, maintainer: ArticulationMaintainer, transport: Articulation
+    ) -> None:
+        """Truck is bridged only as a common subclass; no rule names it.
+        Reported without its neighbours, its deletion still rebuilds."""
+        transport.sources["factory"].remove_term("Truck")
+        report = maintainer.apply_source_changes("factory", ["Truck"])
+        assert report.affected_terms == {"Truck"}
+        assert report.replayed_rules == len(transport.rules)
+        assert maintainer.verify() == []
+        _assert_matches_generation(transport)
+
+    def test_common_subclass_unlinked_and_reported_alone_repairs(
+        self, maintainer: ArticulationMaintainer, transport: Articulation
+    ) -> None:
+        """Reporting only the subclass end of a removed edge: Truck has
+        left the conjuncts' descendants, and its bridge must go."""
+        factory = transport.sources["factory"]
+        factory.unrelate("Truck", "SubclassOf", "GoodsVehicle")
+        maintainer.apply_source_changes("factory", ["Truck"])
+        assert (
+            Edge("factory:Truck", "SIBridge", "transport:CargoCarrierVehicle")
+            not in transport.bridges
+        )
+        _assert_matches_generation(transport)
+
+    def test_unreported_deletion_is_dropped_by_the_next_rebuild(
+        self, maintainer: ArticulationMaintainer, transport: Articulation
+    ) -> None:
+        """A rule whose term vanished in an unreported edit is dropped
+        before the next reconstruction, instead of failing it."""
+        transport.sources["carrier"].remove_term("Car")
+        report = maintainer.apply_source_changes("factory", ["Truck"])
+        assert report.dropped_rules
+        assert maintainer.verify() == []
+        _assert_matches_generation(transport)
 
 
 class TestUnderChurn:
@@ -315,6 +408,20 @@ class TestClassificationCaching:
         assert transport.cache_stats.get("covered_misses", 0) == 1
         assert transport.cache_stats.get("covered_hits", 0) == 2
 
+    def test_source_only_edit_keeps_covered_cache(
+        self, transport: Articulation
+    ) -> None:
+        """The covered-term set reads only the bridges, so a source
+        edit does not invalidate it."""
+        transport.covered_source_terms()
+        transport.cache_stats.clear()
+        carrier = transport.sources["carrier"]
+        carrier.ensure_term("Tricycle")
+        carrier.add_subclass("Tricycle", "Cars")
+        transport.covered_source_terms()
+        assert transport.cache_stats.get("covered_hits", 0) == 1
+        assert transport.cache_stats.get("covered_misses", 0) == 0
+
     def test_repair_invalidates_covered_cache(
         self, maintainer: ArticulationMaintainer, transport: Articulation
     ) -> None:
@@ -334,3 +441,197 @@ class TestClassificationCaching:
         assert first_mode in ("noop", "incremental")
         maintainer.semantic_verify()
         assert engine.last_refresh["mode"] == "noop"
+
+
+# ----------------------------------------------------------------------
+# differential checks: after every churn batch the maintained
+# articulation equals generation from scratch over the current sources
+# and surviving rules, and the long-lived inference engine, refreshed
+# from per-part deltas, holds exactly the program and closure a fresh
+# engine builds
+# ----------------------------------------------------------------------
+def _truth_articulation() -> Articulation:
+    workload = generate_workload(
+        WorkloadConfig(universe_size=240, terms_per_source=80, overlap=0.4)
+    )
+    return ArticulationGenerator(workload.sources, name="art").generate(
+        workload.truth_rules(0, 1)
+    )
+
+
+def _assert_matches_fresh_engine(
+    engine: OntologyInferenceEngine, articulation: Articulation
+) -> None:
+    fresh = OntologyInferenceEngine.from_articulation(articulation)
+    assert engine._program_facts == fresh._program_facts
+    assert engine.engine.facts() == fresh.engine.facts()
+
+
+def _assert_rule_terms_covered(articulation: Articulation) -> None:
+    """Every source term a rule names is a bridge endpoint, so its
+    deletion is always affecting — what the maintainer's keep check
+    relies on."""
+    covered = articulation.covered_source_terms()
+    for rule in articulation.rules:
+        refs = (
+            rule.terms()
+            if isinstance(rule, ImplicationRule)
+            else (rule.source, rule.target)
+        )
+        for ref in refs:
+            if ref.ontology in articulation.sources:
+                assert qualify(ref.ontology, ref.term) in covered, str(rule)
+
+
+def _campaign(
+    articulation: Articulation,
+    *,
+    seed: int,
+    batches: int,
+    mutations: int,
+    delete_weight: float,
+):
+    """Churn every source in turn; yield after each batch's refresh."""
+    maintainer = ArticulationMaintainer(articulation)
+    engine = OntologyInferenceEngine.from_articulation(articulation)
+    names = sorted(articulation.sources)
+    for batch in range(batches):
+        name = names[batch % len(names)]
+        report = apply_churn(
+            articulation.sources[name],
+            n_mutations=mutations,
+            seed=seed * 1009 + batch,
+            delete_weight=delete_weight,
+        )
+        maintenance = maintainer.apply_source_changes(
+            name, report.touched_terms()
+        )
+        engine.refresh_from_articulation(articulation)
+        if batch % 2:
+            engine.fact_count()  # reach a fixpoint: the DRed path runs
+        yield maintenance, engine
+
+
+class TestMaintainedArticulationMatchesGeneration:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transport_world_with_deletions(self, seed: int) -> None:
+        """Simple, cascade, internal, AND, OR and functional rules, both
+        sources churned with deletions on."""
+        articulation = generate_transport_articulation()
+        _assert_rule_terms_covered(articulation)
+        kept = rebuilt = 0
+        for maintenance, engine in _campaign(
+            articulation, seed=seed, batches=12, mutations=4, delete_weight=0.3
+        ):
+            if maintenance.required_work:
+                rebuilt += maintenance.replayed_rules > 0
+                kept += maintenance.replayed_rules == 0
+            _assert_matches_generation(articulation)
+            _assert_rule_terms_covered(articulation)
+            _assert_matches_fresh_engine(engine, articulation)
+        # both repair paths ran: reconstruction and keeping
+        assert kept and rebuilt
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_truth_rule_world_keeps_the_articulation(self, seed: int) -> None:
+        """Truth rules and no deletions: every affecting change keeps
+        the articulation object, its graph and its bridge set."""
+        articulation = _truth_articulation()
+        ontology = articulation.ontology
+        stamp = articulation.bridges.stamp
+        _assert_rule_terms_covered(articulation)
+        affecting = 0
+        for maintenance, engine in _campaign(
+            articulation, seed=seed, batches=8, mutations=6, delete_weight=0.0
+        ):
+            affecting += maintenance.required_work
+            assert maintenance.replayed_rules == 0
+            assert articulation.ontology is ontology
+            assert articulation.bridges.stamp == stamp
+            _assert_matches_generation(articulation)
+            _assert_rule_terms_covered(articulation)
+            _assert_matches_fresh_engine(engine, articulation)
+        assert affecting > 0
+
+
+class TestRefreshFromJournal:
+    def test_small_edit_replays_the_journal(self, monkeypatch) -> None:
+        articulation = generate_transport_articulation()
+        engine = OntologyInferenceEngine.from_articulation(articulation)
+        engine.fact_count()
+        carrier = articulation.sources["carrier"]
+        carrier.ensure_term("Tricycle")
+        carrier.add_subclass("Tricycle", "Cars")
+        carrier.graph.remove_edge(
+            carrier.graph.out_edges("Car", "drivenBy")[0]
+        )
+
+        def walk(ontology):  # pragma: no cover - must not run
+            raise AssertionError("graph re-walked instead of replayed")
+
+        monkeypatch.setattr(Ontology, "qualified_graph", walk)
+        refresh = engine.refresh_from_articulation(articulation)
+        monkeypatch.undo()
+        assert refresh["extracted"] == ["carrier"]
+        assert refresh["mode"] == "retract"
+        _assert_matches_fresh_engine(engine, articulation)
+
+    def test_journal_overrun_rewalks_the_part(self, monkeypatch) -> None:
+        articulation = generate_transport_articulation()
+        engine = OntologyInferenceEngine.from_articulation(articulation)
+        engine.fact_count()
+        carrier = articulation.sources["carrier"]
+        version = carrier.graph.version
+        for index in range(150):
+            carrier.ensure_term(f"Extra{index}")
+            carrier.add_subclass(f"Extra{index}", "Cars")
+        carrier.remove_term("SUV")
+        assert carrier.graph.journal_since(version) is None
+        calls: list[str] = []
+        walk = Ontology.qualified_graph
+
+        def recording(ontology):
+            calls.append(ontology.name)
+            return walk(ontology)
+
+        monkeypatch.setattr(Ontology, "qualified_graph", recording)
+        refresh = engine.refresh_from_articulation(articulation)
+        monkeypatch.undo()
+        assert calls == ["carrier"]
+        assert refresh["extracted"] == ["carrier"]
+        _assert_matches_fresh_engine(engine, articulation)
+
+    def test_failed_batch_rebuilds_on_next_refresh(self) -> None:
+        """A refresh whose batch fails has already moved its parts; the
+        next refresh rebuilds from them instead of losing the delta."""
+        articulation = generate_transport_articulation()
+        engine = OntologyInferenceEngine(
+            fault_plan=FaultPlan.scripted({"batch_crash": [0]})
+        )
+        engine.refresh_from_articulation(articulation)
+        carrier = articulation.sources["carrier"]
+        carrier.ensure_term("Tricycle")
+        carrier.add_subclass("Tricycle", "Cars")
+        with pytest.raises(FaultInjected):
+            engine.refresh_from_articulation(articulation)
+        assert engine.refresh_from_articulation(articulation)["mode"] == (
+            "initial"
+        )
+        _assert_matches_fresh_engine(engine, articulation)
+
+    def test_instance_alias_labels_share_one_atom(self) -> None:
+        """``InstanceOf`` edges and edges labeled ``instance_of`` map to
+        the same atom: removing one keeps the atom while the other
+        remains."""
+        articulation = generate_transport_articulation()
+        engine = OntologyInferenceEngine.from_articulation(articulation)
+        carrier = articulation.sources["carrier"]
+        carrier.relate("MyCar", "instance_of", "Cars")
+        engine.refresh_from_articulation(articulation)
+        carrier.graph.remove_edge(carrier.graph.out_edges("MyCar", "I")[0])
+        engine.refresh_from_articulation(articulation)
+        assert ("instance_of", "carrier:MyCar", "carrier:Cars") in (
+            engine._program_facts
+        )
+        _assert_matches_fresh_engine(engine, articulation)
+

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.articulation import Articulation
+from repro.core.articulation import Articulation, BridgeSet
 from repro.kb.backends import SQLiteBackend
 from repro.kb.instances import InstanceStore
 from repro.query.ast import Query
@@ -98,6 +98,25 @@ class TestPlanCache:
         info = engine.plan_cache_info()
         assert info.hits == 1
         assert info.misses == 1
+
+    def test_cache_hit_does_not_walk_bridges(
+        self, engine: QueryEngine, monkeypatch
+    ) -> None:
+        """The cache key reads the articulation's O(1) change stamp, so
+        a hit never iterates the bridge set."""
+        question = "SELECT price FROM transport:Vehicle"
+        engine.plan(question)
+        walks: list[int] = []
+        iterate = BridgeSet.__iter__
+
+        def counting(bridges):
+            walks.append(len(bridges))
+            return iterate(bridges)
+
+        monkeypatch.setattr(BridgeSet, "__iter__", counting)
+        engine.plan(question)
+        assert engine.plan_cache_info().hits == 1
+        assert walks == []
 
     def test_different_queries_miss(self, engine: QueryEngine) -> None:
         engine.plan("SELECT price FROM transport:Vehicle")
