@@ -20,8 +20,7 @@ Four ablations over the rebuilt evaluator:
   (semi-naive), but stratification cuts the delta-plan activations.
 * **semi-naive-vs-naive** — the classic delta ablation against
   ``tests.support.baselines.NaiveHornEngine``, retained from the
-  original experiment, plus goal-directed slicing and the full
-  articulation-reasoning load.
+  original experiment, plus the full articulation-reasoning load.
 
 Running this module writes ``BENCH_inference.json`` next to it with
 the measured timings and work counts; CI uploads it as an artifact to
@@ -301,67 +300,6 @@ def test_seminaive_beats_naive_summary(benchmark, table) -> None:
     assert float(rows[-1][3][:-1]) > 1.0
 
 
-def test_goal_directed_slicing_ablation(benchmark, table) -> None:
-    """DESIGN.md ablation: full saturation vs relevance-sliced goal
-    answering when the program mixes many predicate families and the
-    question touches only one.  Slices overlay the master fact store,
-    so building one copies no base facts."""
-    from repro.inference.goal import GoalDirectedEngine
-
-    def build_program(target):
-        """A fat program: one S-chain plus many unrelated predicate
-        families with their own transitive rules."""
-        target.add_clause(TRANS)
-        for family in range(8):
-            pred = f"P{family}"
-            target.add_clause(
-                HornClause(
-                    (pred, "?x", "?z"),
-                    ((pred, "?x", "?y"), (pred, "?y", "?z")),
-                )
-            )
-            for i in range(30):
-                target.add_fact((pred, f"{pred}n{i}", f"{pred}n{i+1}"))
-        for i in range(30):
-            target.add_fact(("S", f"n{i}", f"n{i+1}"))
-
-    def run_full() -> bool:
-        engine = HornEngine()
-        build_program(engine)
-        return engine.holds(("S", "n0", "n29"))
-
-    def run_sliced() -> bool:
-        engine = GoalDirectedEngine()
-        build_program(engine)
-        return engine.holds(("S", "n0", "n29"))
-
-    t0 = time.perf_counter()
-    assert run_full()
-    t_full = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    assert run_sliced()
-    t_sliced = time.perf_counter() - t0
-    benchmark(run_sliced)
-    table(
-        "INFER goal-directed slicing (1 goal, 9 predicate families)",
-        ["engine", "time", "speedup"],
-        [
-            ("full saturation", f"{1e3 * t_full:.1f}ms", "1.0x"),
-            (
-                "relevance-sliced",
-                f"{1e3 * t_sliced:.1f}ms",
-                f"{t_full / t_sliced:.1f}x",
-            ),
-        ],
-    )
-    RESULTS["workloads"]["goal_directed_slicing"] = {
-        "full_ms": round(1e3 * t_full, 2),
-        "sliced_ms": round(1e3 * t_sliced, 2),
-    }
-    # The slice touches 1 of 9 predicate families; it must win clearly.
-    assert t_sliced < t_full
-
-
 def test_articulation_reasoning_load(benchmark, table) -> None:
     """Full FIG2 reasoning: load sources + bridges + axioms, saturate,
     answer the §4.1 consequence questions."""
@@ -393,7 +331,6 @@ _EXPECTED_WORKLOADS = {
     "incremental_vs_rerun",
     "stratified_vs_flat",
     "seminaive_vs_naive",
-    "goal_directed_slicing",
     "articulation_reasoning",
 }
 

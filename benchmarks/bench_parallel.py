@@ -7,10 +7,13 @@ It measures the two batching layers of the Horn engine:
   refreshes: ``batch_size`` ∈ {1, 2, 3, 6} against per-op refreshes
   and against a rebuild-per-batch driver, refresh phase time compared
   across the sweep (probe answers at shared rounds must agree).
-* **crossover** — the auto-tuned DRed-vs-rebuild switch: calibrate on
-  this machine, then validate that ``apply_batch`` routes a batch
-  below the crossover through DRed and one at/above it through a
-  rebuild, both landing on the from-scratch oracle's fact set.
+* **crossover** — the DRed-vs-rebuild switch: time a ``k``-fact DRed
+  retraction against a from-scratch rebuild on this machine, then
+  validate that ``apply_batch`` routes a batch below the measured
+  crossover through DRed and one at/above it through a rebuild, both
+  landing on the from-scratch oracle's fact set.  The engine's own
+  crossover is a constant; this sweep only records how this host
+  compares with it.
 
 Running this module writes ``BENCH_parallel.json`` next to it; the
 perf-trajectory gate tracks its ratio metrics.
@@ -20,10 +23,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from repro.inference.horn import HornEngine, seed_rebuild_crossover
+from repro.core.rules import HornClause
+from repro.inference.horn import HornEngine
 from repro.workloads.churn import run_churn_workload
 from repro.workloads.paper_example import generate_transport_articulation
 
@@ -107,33 +112,49 @@ def test_batched_churn(table) -> None:
 
 
 def test_crossover(table) -> None:
-    """Calibrate the DRed-vs-rebuild crossover on this machine, then
+    """Measure the DRed-vs-rebuild crossover on this machine, then
     validate that apply_batch routes around it correctly."""
     chain = 48
     trans_facts = [("S", f"n{i}", f"n{i + 1}") for i in range(chain)]
-    from repro.core.rules import HornClause
-
     trans = HornClause(
         ("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z"))
     )
 
-    def saturated() -> HornEngine:
+    def fresh(skip: frozenset[int] = frozenset()) -> HornEngine:
         engine = HornEngine(record_derivations=False)
         engine.add_clause(trans)
-        engine.add_facts(trans_facts)
+        engine.add_facts(f for i, f in enumerate(trans_facts) if i not in skip)
+        return engine
+
+    def saturated() -> HornEngine:
+        engine = fresh()
         engine.saturate()
         return engine
 
-    probe = saturated()
-    seeded = probe.rebuild_crossover
-    calibrated = probe.calibrate_rebuild_crossover(chain=chain)
-    calibration = {
-        str(row["k"]): {
-            "dred_ms": round(row["dred_ms"], 2),
-            "rebuild_ms": round(row["rebuild_ms"], 2),
+    # The sweep: the first k whose rebuild beats its DRed pass (floored
+    # at 2) is this host's crossover; past the range if none does.
+    ks = (1, 2, 4, 8, 16, 32)
+    calibration: dict[str, dict[str, float]] = {}
+    calibrated: int | None = None
+    for k in ks:
+        victims = frozenset((i * chain) // k for i in range(k))
+        engine = saturated()
+        started = perf_counter()
+        engine.retract_facts(trans_facts[i] for i in sorted(victims))
+        engine.saturate()
+        dred_ms = (perf_counter() - started) * 1000.0
+        started = perf_counter()
+        fresh(victims).saturate()
+        rebuild_ms = (perf_counter() - started) * 1000.0
+        calibration[str(k)] = {
+            "dred_ms": round(dred_ms, 2),
+            "rebuild_ms": round(rebuild_ms, 2),
         }
-        for row in probe.last_calibration
-    }
+        if calibrated is None and rebuild_ms < dred_ms:
+            calibrated = max(k, 2)
+    if calibrated is None:
+        calibrated = max(ks) + 1
+    engine_crossover = HornEngine().rebuild_crossover
 
     def oracle(victims: list[tuple]) -> set:
         engine = HornEngine(record_derivations=False)
@@ -144,7 +165,7 @@ def test_crossover(table) -> None:
 
     # Below the crossover: the batch must ride DRed.
     below = saturated()
-    below.rebuild_crossover = max(calibrated, 2)
+    below.rebuild_crossover = calibrated
     victims = trans_facts[: below.rebuild_crossover - 1]
     report_below = below.apply_batch(retracts=victims)
     assert report_below["decision"] == "dred"
@@ -152,7 +173,7 @@ def test_crossover(table) -> None:
 
     # At/above the crossover: the batch must reroute to a rebuild.
     above = saturated()
-    above.rebuild_crossover = max(calibrated, 2)
+    above.rebuild_crossover = calibrated
     victims = trans_facts[: above.rebuild_crossover]
     report_above = above.apply_batch(retracts=victims)
     assert report_above["decision"] == "rebuild"
@@ -166,13 +187,12 @@ def test_crossover(table) -> None:
             for k, v in sorted(calibration.items(), key=lambda kv: int(kv[0]))
         ]
         + [
-            ("seeded", seeded, ""),
+            ("engine", engine_crossover, ""),
             ("calibrated", calibrated, ""),
         ],
     )
     RESULTS["workloads"]["crossover"] = {
-        "seeded": seeded,
-        "seeded_from_bench": seed_rebuild_crossover(),
+        "seeded": engine_crossover,
         "calibrated": calibrated,
         "calibration": calibration,
         "below_decision": report_below["decision"],

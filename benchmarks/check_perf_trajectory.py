@@ -54,10 +54,6 @@ def _ratio(numerator, denominator) -> float | None:
 def _metrics_inference(payload: dict) -> dict[str, float]:
     w = payload.get("workloads", {})
     out: dict[str, float | None] = {}
-    slicing = w.get("goal_directed_slicing", {})
-    out["infer.goal_slicing_speedup"] = _ratio(
-        slicing.get("full_ms"), slicing.get("sliced_ms")
-    )
     incr = w.get("incremental_vs_rerun", {})
     out["infer.incremental_speedup"] = _ratio(
         incr.get("rerun_ms"), incr.get("incremental_ms")

@@ -1,7 +1,6 @@
 """Inference: Horn-clause engine and ontology-level reasoning (§2.4, §4)."""
 
 from repro.inference.engine import DISJOINT, IMPLIES, OntologyInferenceEngine
-from repro.inference.goal import GoalDirectedEngine
 from repro.inference.horn import (
     Atom,
     CompiledClause,
@@ -18,7 +17,6 @@ __all__ = [
     "CompiledClause",
     "DISJOINT",
     "FactStore",
-    "GoalDirectedEngine",
     "HornEngine",
     "IMPLIES",
     "OntologyInferenceEngine",

@@ -13,8 +13,7 @@ ideas:
 * **Argument-position indexes** (:class:`FactStore`): facts are hashed
   under ``(predicate, position, value)`` so a body atom with any bound
   argument probes a hash bucket instead of scanning every fact of its
-  predicate.  A store can overlay a read-only *base* store, which lets
-  goal-directed slices share the master indexes without copying.
+  predicate.
 * **Clause compilation** (:func:`compile_clause`): each
   :class:`~repro.core.rules.HornClause` is analyzed once into join
   plans.  Variables map to fixed integer slots, body atoms are
@@ -33,14 +32,13 @@ ideas:
   deltas; the next query propagates only those deltas through the
   strata instead of re-running saturation from scratch.  The result is
   guaranteed (and property-tested) to equal from-scratch saturation.
-* **Batched churn with an auto-tuned rebuild crossover**
+* **Batched churn with a rebuild crossover**
   (:meth:`HornEngine.apply_batch`): a whole shrink+grow batch queues
   first and pays *one* overdelete/rederive/propagate pass instead of
-  one per operation; when the batch's retraction count reaches the
-  measured DRed-vs-rebuild crossover (seeded from the checked-in
-  retraction benchmark, re-measurable per machine via
-  :meth:`HornEngine.calibrate_rebuild_crossover`), the batch abandons
-  the deletion cone and replays from base instead.
+  one per operation; when the batch's retraction count reaches
+  :data:`DEFAULT_REBUILD_CROSSOVER`, the DRed-vs-rebuild crossover
+  the retraction benchmark measured, the batch abandons the deletion
+  cone and replays from base instead.
 * **Incremental retraction (DRed)**: :meth:`HornEngine.retract_fact` /
   :meth:`HornEngine.retract_clause` queue deletions; the next query
   *overdeletes* the downstream cone of the retracted facts using the
@@ -67,12 +65,9 @@ the expert; §2.4 requires the expert to vet what the system concluded.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from pathlib import Path
-from time import perf_counter
 
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
@@ -87,7 +82,6 @@ __all__ = [
     "HornEngine",
     "compile_clause",
     "is_variable",
-    "seed_rebuild_crossover",
     "substitute",
     "unify_atom",
 ]
@@ -168,91 +162,31 @@ class Derivation:
 
 
 # ----------------------------------------------------------------------
-# fact storage: argument-position hash indexes, sharable via overlays
+# fact storage: argument-position hash indexes
 # ----------------------------------------------------------------------
 class FactStore:
     """Ground facts indexed by ``(predicate, position, value)``.
 
-    ``base`` makes this store a copy-free overlay: reads consult the
-    base store (restricted to ``visible`` predicates) plus the local
-    facts, writes land locally.  Goal-directed slices use this to share
-    the master store's indexes while keeping their derived facts
-    private.
-
     Pools and index buckets are insertion-ordered dicts, so
     :meth:`remove` maintains every index in O(arity) without scanning.
-    Removing a fact that is only *visible* through the base store
-    records a tombstone in the overlay's deletion delta — reads filter
-    it out, the base store itself is untouched, and a later :meth:`add`
-    of the same atom just lifts the tombstone.  The engine's own DRed
-    pass never tombstones (overlay-supplied facts are extensional and
-    shielded from overdeletion); the deletion delta is API surface for
-    external overlay owners, and tombstone-free overlays pay only a
-    counter lookup on the read path.
     """
 
-    __slots__ = (
-        "_base",
-        "_visible",
-        "_facts",
-        "_by_pred",
-        "_index",
-        "_deleted",
-        "_deleted_by_pred",
-        "_deleted_by_key",
-    )
+    __slots__ = ("_facts", "_by_pred", "_index")
 
-    def __init__(
-        self,
-        *,
-        base: "FactStore | None" = None,
-        visible: frozenset[str] | None = None,
-    ) -> None:
-        self._base = base
-        self._visible = visible
+    def __init__(self) -> None:
         self._facts: set[Atom] = set()
         self._by_pred: dict[str, dict[Atom, None]] = {}
         self._index: dict[tuple[str, int, str], dict[Atom, None]] = {}
-        # deletion delta over the (read-only) base store
-        self._deleted: set[Atom] = set()
-        self._deleted_by_pred: dict[str, int] = {}
-        self._deleted_by_key: dict[tuple[str, int, str], int] = {}
-
-    def _sees(self, predicate: str) -> bool:
-        return self._base is not None and (
-            self._visible is None or predicate in self._visible
-        )
 
     def __contains__(self, atom: Atom) -> bool:
-        if atom in self._facts:
-            return True
-        return (
-            self._sees(atom[0])
-            and atom in self._base
-            and atom not in self._deleted
-        )
+        return atom in self._facts
 
     def __len__(self) -> int:
-        total = len(self._facts)
-        if self._base is not None:
-            if self._visible is None:
-                total += len(self._base) - len(self._deleted)
-            else:
-                total += sum(
-                    self._base.pool_size(p)
-                    - self._deleted_by_pred.get(p, 0)
-                    for p in self._visible
-                )
-        return total
+        return len(self._facts)
 
     def add(self, atom: Atom) -> bool:
-        """Insert a ground fact; False if already present (or visible)."""
+        """Insert a ground fact; False if already present."""
         if atom in self._facts:
-            return False
-        if self._sees(atom[0]) and atom in self._base:
-            if atom in self._deleted:
-                self._lift_tombstone(atom)
-                return True
             return False
         self._facts.add(atom)
         predicate = atom[0]
@@ -271,145 +205,50 @@ class FactStore:
         return True
 
     def remove(self, atom: Atom) -> bool:
-        """Delete a fact, maintaining every index; False if absent.
-
-        Local facts are unlinked from their pool and index buckets in
-        O(arity); facts visible through the base store get a tombstone
-        in the deletion delta instead (the base is shared, read-only).
-        """
-        if atom in self._facts:
-            self._facts.discard(atom)
-            predicate = atom[0]
-            pool = self._by_pred[predicate]
-            del pool[atom]
-            if not pool:
-                del self._by_pred[predicate]
-            index = self._index
-            for position in range(1, len(atom)):
-                key = (predicate, position, atom[position])
-                bucket = index[key]
-                del bucket[atom]
-                if not bucket:
-                    del index[key]
-            return True
-        if (
-            self._sees(atom[0])
-            and atom in self._base
-            and atom not in self._deleted
-        ):
-            self._deleted.add(atom)
-            predicate = atom[0]
-            self._deleted_by_pred[predicate] = (
-                self._deleted_by_pred.get(predicate, 0) + 1
-            )
-            for position in range(1, len(atom)):
-                key = (predicate, position, atom[position])
-                self._deleted_by_key[key] = (
-                    self._deleted_by_key.get(key, 0) + 1
-                )
-            return True
-        return False
-
-    def _lift_tombstone(self, atom: Atom) -> None:
-        self._deleted.discard(atom)
+        """Delete a fact, maintaining every index; False if absent."""
+        if atom not in self._facts:
+            return False
+        self._facts.discard(atom)
         predicate = atom[0]
-        remaining = self._deleted_by_pred[predicate] - 1
-        if remaining:
-            self._deleted_by_pred[predicate] = remaining
-        else:
-            del self._deleted_by_pred[predicate]
+        pool = self._by_pred[predicate]
+        del pool[atom]
+        if not pool:
+            del self._by_pred[predicate]
+        index = self._index
         for position in range(1, len(atom)):
             key = (predicate, position, atom[position])
-            count = self._deleted_by_key[key] - 1
-            if count:
-                self._deleted_by_key[key] = count
-            else:
-                del self._deleted_by_key[key]
-
-    def in_base(self, atom: Atom) -> bool:
-        """Is this fact supplied by the (read-only) base overlay?
-
-        True even when locally tombstoned — the base still asserts it.
-        """
-        return self._sees(atom[0]) and atom in self._base
-
-    def _base_view(
-        self, base_facts: Iterable[Atom], tombstones: int
-    ) -> Iterable[Atom]:
-        """A base-store read with this overlay's deletion delta applied
-        (pass-through when nothing relevant is tombstoned)."""
-        if not tombstones:
-            return base_facts
-        deleted = self._deleted
-        return (f for f in base_facts if f not in deleted)
+            bucket = index[key]
+            del bucket[atom]
+            if not bucket:
+                del index[key]
+        return True
 
     def pool(self, predicate: str) -> Iterator[Atom]:
-        """All facts of one predicate (base first, then local)."""
-        if self._sees(predicate):
-            yield from self._base_view(
-                self._base.pool(predicate),
-                self._deleted_by_pred.get(predicate, 0),
-            )
+        """All facts of one predicate."""
         yield from self._by_pred.get(predicate, ())
 
     def pool_size(self, predicate: str) -> int:
-        size = len(self._by_pred.get(predicate, ()))
-        if self._sees(predicate):
-            size += self._base.pool_size(
-                predicate
-            ) - self._deleted_by_pred.get(predicate, 0)
-        return size
+        return len(self._by_pred.get(predicate, ()))
 
     def probe(self, predicate: str, position: int, value: str) -> Iterator[Atom]:
         """Facts with ``value`` at ``position`` — one index bucket."""
-        if self._sees(predicate):
-            yield from self._base_view(
-                self._base.probe(predicate, position, value),
-                self._deleted_by_key.get((predicate, position, value), 0),
-            )
         yield from self._index.get((predicate, position, value), ())
 
     def probe_size(self, predicate: str, position: int, value: str) -> int:
-        size = len(self._index.get((predicate, position, value), ()))
-        if self._sees(predicate):
-            size += self._base.probe_size(
-                predicate, position, value
-            ) - self._deleted_by_key.get((predicate, position, value), 0)
-        return size
+        return len(self._index.get((predicate, position, value), ()))
 
     def predicates(self) -> set[str]:
-        preds = set(self._by_pred)
-        if self._base is not None:
-            base_preds = self._base.predicates()
-            if self._visible is not None:
-                base_preds &= self._visible
-            preds |= {p for p in base_preds if self.pool_size(p)}
-        return preds
+        return set(self._by_pred)
 
     def iter_facts(self, predicate: str | None = None) -> Iterator[Atom]:
         if predicate is not None:
             yield from self.pool(predicate)
             return
-        if self._base is not None:
-            if self._visible is None:
-                preds = self._base.predicates()
-            else:
-                preds = self._visible
-            for pred in preds:
-                if self._sees(pred):
-                    yield from self._base_view(
-                        self._base.pool(pred),
-                        self._deleted_by_pred.get(pred, 0),
-                    )
         yield from self._facts
 
     def copy(self) -> "FactStore":
-        """A flat, independent store holding every visible fact.
-
-        Fact by fact, O(closure).  An overlay's copy folds base and
-        local facts (minus tombstones) into one root store, so copies
-        of copies never deepen a chain.
-        """
+        """An independent store holding every fact; fact by fact,
+        O(closure)."""
         fresh = FactStore()
         for atom in self.iter_facts():
             fresh.add(atom)
@@ -585,9 +424,8 @@ def compile_clause(clause: HornClause) -> CompiledClause:
     """Analyze a clause into join plans (cached and shared globally).
 
     The cache is keyed on the (frozen, hashable) clause, so every
-    engine and every goal-directed slice using the same clause shares
-    one compiled form.  Programs hold a handful of axiom clauses, so
-    the cache is unbounded.
+    engine using the same clause shares one compiled form.  Programs
+    hold a handful of axiom clauses, so the cache is unbounded.
     """
     cached = _COMPILE_CACHE.get(clause)
     if cached is not None:
@@ -696,52 +534,14 @@ def _stratify(compiled: list[CompiledClause]) -> list[list[CompiledClause]]:
 
 
 # ----------------------------------------------------------------------
-# the DRed-vs-rebuild crossover: seeded from the benchmark, tunable
+# the DRed-vs-rebuild crossover
 # ----------------------------------------------------------------------
 DEFAULT_REBUILD_CROSSOVER = 8
-"""Fallback batch-retraction count past which a rebuild beats DRed."""
-
-_BENCH_RETRACTION_JSON = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_retraction.json"
-)
-_seeded_crossover: int | None = None
-
-
-def seed_rebuild_crossover(path: Path | str | None = None) -> int:
-    """The DRed-vs-rebuild crossover recorded by the retraction bench.
-
-    Reads the checked-in ``BENCH_retraction.json`` retract-vs-rebuild
-    sweep and returns the smallest retraction count at which the full
-    rebuild measured faster than the DRed pass — the point where
-    :meth:`HornEngine.apply_batch` should stop chasing deletion cones.
-    Floors at 2 (a crossover of 1 would deny DRed entirely) and falls
-    back to :data:`DEFAULT_REBUILD_CROSSOVER` when the file or series
-    is missing or malformed.  The default lookup is cached per process.
-    """
-    global _seeded_crossover
-    if path is None and _seeded_crossover is not None:
-        return _seeded_crossover
-    target = Path(path) if path is not None else _BENCH_RETRACTION_JSON
-    crossover = DEFAULT_REBUILD_CROSSOVER
-    try:
-        payload = json.loads(target.read_text())
-        series = payload["workloads"]["retract_vs_rebuild"]
-        ks = sorted(int(k) for k in series)
-        for k in ks:
-            row = series[str(k)]
-            if float(row["rebuild_ms"]) < float(row["retract_ms"]):
-                crossover = max(k, 2)
-                break
-        else:
-            if ks:  # rebuild never won in the measured range
-                crossover = ks[-1] + 1
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    if path is None:
-        _seeded_crossover = crossover
-    return crossover
+"""Batch-retraction count at which :meth:`HornEngine.apply_batch`
+replays from base instead of running the DRed pass.  It comes from the
+``retract_vs_rebuild`` sweep in ``benchmarks/bench_retraction.py``
+(k = 1, 8, 40 retractions from an 80-node chain closure): 8 is the
+smallest k at which the full rebuild measured faster."""
 
 
 # ----------------------------------------------------------------------
@@ -766,8 +566,8 @@ class HornEngine:
 
     ``record_derivations=False`` skips provenance bookkeeping for a
     faster engine whose :meth:`explain` raises.  ``store`` lets a
-    caller supply a (possibly overlay) :class:`FactStore`; absent
-    that, ``storage`` picks who builds it — ``"memory"`` (dict-backed
+    caller supply the :class:`FactStore`; absent that, ``storage``
+    picks who builds it — ``"memory"`` (dict-backed
     :class:`FactStore`) or ``"paged"`` (a disk-backed
     :class:`~repro.kb.pagestore.PagedFactStore` whose index buckets
     page through a buffer pool of at most ``buffer_facts`` facts,
@@ -777,12 +577,10 @@ class HornEngine:
 
     Evaluation is stratified semi-naive and serial: SCC strata run one
     after another in topological order, in the calling process, each
-    to its fixpoint by delta rounds.  ``rebuild_crossover`` is the batch-retraction count at
-    which :meth:`apply_batch` switches from the DRed pass to a full
-    rebuild — defaults to the figure recorded in the checked-in
-    retraction benchmark (:func:`seed_rebuild_crossover`), and
-    :meth:`calibrate_rebuild_crossover` re-measures it on the current
-    machine.
+    to its fixpoint by delta rounds.  :attr:`rebuild_crossover` is the
+    batch-retraction count at which :meth:`apply_batch` switches from
+    the DRed pass to a full rebuild: :data:`DEFAULT_REBUILD_CROSSOVER`,
+    or ``None`` to always run DRed.
 
     ``fault_plan`` threads seeded chaos-testing faults through the
     ``batch_crash`` hook in :meth:`apply_batch` (``None`` — the
@@ -801,7 +599,6 @@ class HornEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        rebuild_crossover: int | None = None,
         fault_plan: FaultPlan | None = None,
         journal: ChurnJournal | None = None,
     ) -> None:
@@ -811,14 +608,9 @@ class HornEngine:
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        self.rebuild_crossover = (
-            seed_rebuild_crossover()
-            if rebuild_crossover is None
-            else rebuild_crossover
-        )
+        self.rebuild_crossover: int | None = DEFAULT_REBUILD_CROSSOVER
         self.fault_plan = fault_plan
         self.journal = journal
-        self.last_calibration: list[dict[str, float]] = []
         self._store = store if store is not None else self._new_store()
         self._clauses: list[HornClause] = []
         self._clause_set: set[HornClause] = set()
@@ -911,10 +703,8 @@ class HornEngine:
             self._pending_retractions.append(atom)
         elif not self._derived_ever:
             # Nothing has ever been derived: the store holds exactly
-            # the asserted facts, so unlink in place.  Facts the base
-            # overlay supplies stay visible (as in the DRed shield).
-            if not self._store.in_base(atom):
-                self._store.remove(atom)
+            # the asserted facts, so unlink in place.
+            self._store.remove(atom)
         else:
             self._needs_rebuild = True
         return True
@@ -1298,11 +1088,10 @@ class HornEngine:
         derivations = self._derivations
 
         def shield(atom: Atom) -> bool:
-            """Extensional facts are never overdeleted — asserted on
-            this engine or supplied by the store's base overlay.  Their
-            recorded proof may cite facts this pass is deleting, so
-            they fall back to explaining themselves."""
-            if atom in self._base_facts or store.in_base(atom):
+            """Asserted facts are never overdeleted.  Their recorded
+            proof may cite facts this pass is deleting, so they fall
+            back to explaining themselves."""
+            if atom in self._base_facts:
                 derivations.pop(atom, None)
                 return True
             return False
@@ -1390,12 +1179,11 @@ class HornEngine:
         batch past the crossover schedules.
 
         In place: the store object (possibly caller-supplied) keeps its
-        identity and any deletion tombstones an external overlay owner
-        recorded — only this engine's derived/retracted local facts
-        are unlinked.
+        identity; only the facts that are not asserted are unlinked.
         """
         store = self._store
-        for atom in [f for f in store._facts if f not in self._base_facts]:
+        stale = [f for f in store.iter_facts() if f not in self._base_facts]
+        for atom in stale:
             store.remove(atom)
         for atom in self._base_facts:
             store.add(atom)
@@ -1553,68 +1341,6 @@ class HornEngine:
             report["journal_seq"] = seq
         return report
 
-    def calibrate_rebuild_crossover(
-        self,
-        *,
-        chain: int = 48,
-        ks: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-    ) -> int:
-        """Measure this machine's DRed-vs-rebuild crossover; store it.
-
-        Times, on a synthetic transitive-closure chain, a ``k``-fact
-        batched DRed retraction against a from-scratch rebuild of the
-        surviving program for each ``k``; the first ``k`` where the
-        rebuild wins (floored at 2) becomes :attr:`rebuild_crossover`.
-        If the rebuild never wins in the measured range the crossover
-        moves past it.  Per-``k`` measurements land in
-        :attr:`last_calibration` for inspection and benchmarks.  The
-        seeded default comes from the checked-in retraction benchmark;
-        calibration replaces it with a figure from *this* machine.
-        """
-        trans = HornClause(
-            ("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z"))
-        )
-
-        def fresh(skip: frozenset[int] = frozenset()) -> HornEngine:
-            engine = HornEngine(record_derivations=False)
-            engine.add_clause(trans)
-            engine.add_facts(
-                ("S", f"n{i}", f"n{i + 1}")
-                for i in range(chain)
-                if i not in skip
-            )
-            return engine
-
-        self.last_calibration = []
-        crossover: int | None = None
-        for k in ks:
-            if k >= chain:
-                break
-            victims = frozenset((i * chain) // k for i in range(k))
-            atoms = [("S", f"n{i}", f"n{i + 1}") for i in sorted(victims)]
-            engine = fresh()
-            engine.saturate()
-            started = perf_counter()
-            engine.retract_facts(atoms)
-            engine.saturate()
-            dred_ms = (perf_counter() - started) * 1000.0
-            started = perf_counter()
-            fresh(victims).saturate()
-            rebuild_ms = (perf_counter() - started) * 1000.0
-            self.last_calibration.append(
-                {
-                    "k": k,
-                    "dred_ms": round(dred_ms, 3),
-                    "rebuild_ms": round(rebuild_ms, 3),
-                }
-            )
-            if crossover is None and rebuild_ms < dred_ms:
-                crossover = max(k, 2)
-        if crossover is None:
-            crossover = (max(ks) if ks else DEFAULT_REBUILD_CROSSOVER) + 1
-        self.rebuild_crossover = crossover
-        return crossover
-
     def _ensure_current(self) -> None:
         if (
             not self._saturated
@@ -1683,13 +1409,11 @@ class HornEngine:
         Saturates first, then swaps ``store.copy()`` into the engine
         and returns the original, which this engine will never touch
         again — the caller may publish it as a consistent read-only
-        snapshot (the serving tier's session stores overlay it).  The
-        store decides how to copy itself: an in-memory
-        :class:`FactStore` copies fact by fact into a flat store
-        (O(closure) Python work, and repeated detaches never deepen an
-        overlay chain); a paged store copies its database pages inside
-        SQLite.  Paid by the *writer* at a churn boundary — readers
-        stay copy-free.
+        snapshot (the serving tier's sessions pin it).  The store
+        decides how to copy itself: an in-memory :class:`FactStore`
+        copies fact by fact (O(closure) Python work); a paged store
+        copies its database pages inside SQLite.  Paid by the *writer*
+        at a churn boundary — readers stay copy-free.
         """
         self._ensure_current()
         old = self._store

@@ -8,10 +8,10 @@ indexes live in SQLite tables instead of Python dicts, so programs
 whose closure does not fit in memory still saturate.  The design
 follows the EMBANKS move of shifting index structures to disk behind
 a paged cache (PAPERS.md): the query algorithms — the Horn engine's
-compiled join plans, the overlay/tombstone discipline, the serving
-tier's snapshot reads — run unmodified; only the bucket fetch
-underneath them changes, and bulk work such as :meth:`copy` runs
-inside SQLite rather than as a Python loop over facts.
+compiled join plans, the serving tier's snapshot reads — run
+unmodified; only the bucket fetch underneath them changes, and bulk
+work such as :meth:`copy` runs inside SQLite rather than as a Python
+loop over facts.
 
 Layout:
 
@@ -88,13 +88,9 @@ def _decode(text: str) -> Atom:
 class PagedFactStore:
     """Ground facts indexed by ``(predicate, position, value)``, on disk.
 
-    Duck-types :class:`repro.inference.horn.FactStore` (the engine and
-    the serving snapshot readers never check the class), including the
-    one private touchpoint the engine uses: ``_facts``, a materializing
-    property read only when the engine replays from its base facts
-    (after a saturation raised part-way, or a batch crossed the rebuild
-    crossover).  A paged store is always a root store; overlays layer
-    *on top of* it via ``FactStore(base=paged)``.
+    Duck-types :class:`repro.inference.horn.FactStore` through its
+    public methods only (the engine and the serving snapshot readers
+    never check the class).
 
     ``path=None`` creates a private temporary database file that
     :meth:`close` (or garbage collection) removes; ``":memory:"`` keeps
@@ -375,10 +371,6 @@ class PagedFactStore:
                     self._sizes[key] = max(0, self._sizes[key] - 1)
             return True
 
-    def in_base(self, atom: Atom) -> bool:
-        """A paged store is a root store: nothing is overlay-supplied."""
-        return False
-
     def pool(self, predicate: str) -> Iterator[Atom]:
         """All facts of one predicate, streamed in index-chunk steps."""
         with self._lock:
@@ -443,11 +435,6 @@ class PagedFactStore:
                 return
             for (atom,) in rows:
                 yield _decode(atom)
-
-    @property
-    def _facts(self) -> set[Atom]:
-        """Materialized fact set (the engine's replay from base — O(n))."""
-        return set(self.iter_facts())
 
     def copy(self) -> "PagedFactStore":
         """An independent store in a fresh private temporary file.

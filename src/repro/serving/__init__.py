@@ -6,8 +6,8 @@ concurrent network service:
 * :mod:`repro.serving.service` — the shared-state core: one
   readers-writer-locked :class:`ArticulationService` owning the
   articulation, engines, result cache and session table;
-* :mod:`repro.serving.session` — copy-free snapshot sessions over the
-  PR 2 overlay stores;
+* :mod:`repro.serving.session` — copy-free snapshot sessions that
+  pin the published store;
 * :mod:`repro.serving.cache` — the server-wide query-result LRU keyed
   on articulation fingerprint + publication counter;
 * :mod:`repro.serving.protocol` — the JSON / JSON-lines wire codec;

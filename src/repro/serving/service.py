@@ -43,7 +43,7 @@ from repro.core.rules import parse_rules
 from repro.errors import ProtocolError, ServingError
 from repro.formats import adjacency
 from repro.inference.engine import IMPLIES, OntologyInferenceEngine
-from repro.inference.horn import FactStore, HornEngine, is_ground
+from repro.inference.horn import HornEngine, is_ground
 from repro.query.engine import QueryEngine
 from repro.reliability.journal import ChurnJournal
 from repro.serving.cache import QueryResultCache

@@ -2,13 +2,13 @@
 
 A session pins the saturated :class:`~repro.inference.horn.FactStore`
 the engine had published when the session was created (or last
-refreshed) and answers every read from a **copy-free overlay** on top
-of it — the PR 2 overlay machinery.  The pinned base is *frozen*: the
-service's write path detaches the live engine onto a private copy
+refreshed) and answers every read from that store object itself.  The
+pinned store is *frozen*: the service's write path detaches the live
+engine onto a private copy
 (:meth:`~repro.inference.horn.HornEngine.detach_store`) before any
 churn mutates the closure, so a session keeps answering the old
-fixpoint no matter how much the base engine moves, and observes new
-state only on an explicit :meth:`SessionManager.refresh`.
+fixpoint no matter how much the engine moves, and observes new state
+only on an explicit :meth:`SessionManager.refresh`.
 
 The cost model is deliberately asymmetric: sessions (many, per
 client) never copy anything; the writer (one, serialized) pays one
@@ -74,7 +74,7 @@ class Session:
     """One client's pinned view of the closure."""
 
     session_id: str
-    store: FactStore  # overlay; its base is the frozen snapshot
+    store: FactStore  # the published snapshot, pinned as is
     engine_version: int
     queries: int = 0
 
@@ -109,10 +109,10 @@ class SessionManager:
         self.evicted = 0
 
     def create(self, snapshot: FactStore, engine_version: int) -> Session:
-        """A new session whose overlay pins ``snapshot``."""
+        """A new session pinning ``snapshot``."""
         session = Session(
             session_id=secrets.token_hex(8),
-            store=FactStore(base=snapshot),
+            store=snapshot,
             engine_version=engine_version,
         )
         with self._lock:
@@ -139,7 +139,7 @@ class SessionManager:
             if session_id not in self._sessions:
                 raise ServingError(f"unknown session {session_id!r}")
             session = self._sessions.pop(session_id)
-            session.store = FactStore(base=snapshot)
+            session.store = snapshot
             session.engine_version = engine_version
             self._sessions[session_id] = session  # back of the LRU order
         return session
@@ -149,11 +149,10 @@ class SessionManager:
             return self._sessions.pop(session_id, None) is not None
 
     def pins(self, store: FactStore) -> bool:
-        """Does any live session overlay exactly this store object?"""
+        """Does any live session pin exactly this store object?"""
         with self._lock:
             return any(
-                session.store._base is store
-                for session in self._sessions.values()
+                session.store is store for session in self._sessions.values()
             )
 
     def count(self) -> int:

@@ -1,4 +1,4 @@
-"""Batched churn: apply_batch parity, crossover routing, calibration.
+"""Batched churn: apply_batch parity and crossover routing.
 
 ``apply_batch`` must be a pure coalescing of per-op edits: for every
 script, applying each checkpoint window's net fact diff as one batch
@@ -9,20 +9,13 @@ rebuild crossover the batch falls on.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import pytest
 from hypothesis import given, settings
 
 from repro.core.rules import HornClause
-from repro.errors import InferenceError
-from repro.inference.goal import GoalDirectedEngine
 from repro.inference.horn import (
     DEFAULT_REBUILD_CROSSOVER,
     Atom,
     HornEngine,
-    seed_rebuild_crossover,
 )
 from tests.support.churn_scripts import (
     CLAUSE_POOL,
@@ -109,13 +102,17 @@ class TestBatchParity:
 
 class TestBatchDecisions:
     def _saturated(self, crossover: int = 8) -> HornEngine:
-        engine = HornEngine(rebuild_crossover=crossover)
+        engine = HornEngine()
+        engine.rebuild_crossover = crossover
         engine.add_clause(TRANS)
         engine.add_facts(
             ("S", f"n{i}", f"n{i + 1}") for i in range(12)
         )
         engine.saturate()
         return engine
+
+    def test_default_crossover_is_the_module_constant(self) -> None:
+        assert HornEngine().rebuild_crossover == DEFAULT_REBUILD_CROSSOVER
 
     def test_empty_batch_is_a_noop(self) -> None:
         engine = self._saturated()
@@ -190,125 +187,3 @@ class TestBatchDecisions:
         assert "mode" not in report
         assert engine.saturate() > 0  # the deferred delta pass
         assert engine.holds(("S", "n0", "n13"))
-
-
-class TestCalibration:
-    def test_calibration_measures_and_stores(self) -> None:
-        engine = HornEngine()
-        crossover = engine.calibrate_rebuild_crossover(
-            chain=24, ks=(1, 4, 8)
-        )
-        assert crossover >= 2
-        assert engine.rebuild_crossover == crossover
-        assert [row["k"] for row in engine.last_calibration]
-        for row in engine.last_calibration:
-            assert row["dred_ms"] >= 0.0
-            assert row["rebuild_ms"] >= 0.0
-
-
-class TestSeededCrossover:
-    def _record(self, series: dict) -> dict:
-        return {"workloads": {"retract_vs_rebuild": series}}
-
-    def test_smallest_winning_k(self, tmp_path: Path) -> None:
-        path = tmp_path / "bench.json"
-        path.write_text(
-            json.dumps(
-                self._record(
-                    {
-                        "1": {"retract_ms": 1.0, "rebuild_ms": 5.0},
-                        "8": {"retract_ms": 9.0, "rebuild_ms": 2.0},
-                        "40": {"retract_ms": 9.0, "rebuild_ms": 1.0},
-                    }
-                )
-            )
-        )
-        assert seed_rebuild_crossover(path) == 8
-
-    def test_floors_at_two(self, tmp_path: Path) -> None:
-        path = tmp_path / "bench.json"
-        path.write_text(
-            json.dumps(
-                self._record({"1": {"retract_ms": 9.0, "rebuild_ms": 1.0}})
-            )
-        )
-        assert seed_rebuild_crossover(path) == 2
-
-    def test_rebuild_never_wins_moves_past_the_range(
-        self, tmp_path: Path
-    ) -> None:
-        path = tmp_path / "bench.json"
-        path.write_text(
-            json.dumps(
-                self._record(
-                    {
-                        "1": {"retract_ms": 1.0, "rebuild_ms": 9.0},
-                        "40": {"retract_ms": 1.0, "rebuild_ms": 9.0},
-                    }
-                )
-            )
-        )
-        assert seed_rebuild_crossover(path) == 41
-
-    def test_missing_or_malformed_falls_back(self, tmp_path: Path) -> None:
-        assert (
-            seed_rebuild_crossover(tmp_path / "absent.json")
-            == DEFAULT_REBUILD_CROSSOVER
-        )
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert seed_rebuild_crossover(bad) == DEFAULT_REBUILD_CROSSOVER
-
-    def test_default_engine_uses_the_checked_in_seed(self) -> None:
-        assert HornEngine().rebuild_crossover == seed_rebuild_crossover()
-
-
-class TestGoalEngineBatch:
-    def _engine(self) -> GoalDirectedEngine:
-        engine = GoalDirectedEngine()
-        engine.add_clause(TRANS)
-        engine.add_facts([("S", "a", "b"), ("S", "b", "c")])
-        return engine
-
-    def test_batch_updates_answers(self) -> None:
-        engine = self._engine()
-        assert engine.holds(("S", "a", "c"))
-        report = engine.apply_batch(
-            adds=[("S", "c", "d")], retracts=[("S", "a", "b")]
-        )
-        assert report == {"added": 1, "retracted": 1}
-        assert not engine.holds(("S", "a", "c"))
-        assert engine.holds(("S", "b", "d"))
-
-    def test_noop_batch_keeps_memoized_slices(self) -> None:
-        engine = self._engine()
-        engine.holds(("S", "a", "c"))  # build + memoize the slice
-        assert engine._slices
-        report = engine.apply_batch(
-            adds=[("S", "a", "b")],  # already present
-            retracts=[("S", "zz", "zz")],  # never asserted
-        )
-        assert report == {"added": 0, "retracted": 0}
-        assert engine._slices  # untouched: no invalidation paid
-
-    def test_batch_rejects_non_ground_atoms(self) -> None:
-        engine = self._engine()
-        with pytest.raises(InferenceError):
-            engine.apply_batch(adds=[("S", "?x", "b")])
-        with pytest.raises(InferenceError):
-            engine.apply_batch(retracts=[("S", "?x", "b")])
-        # a valid retract next to a non-ground add: the whole batch is
-        # rejected before the master store or the memoized slices move
-        assert engine.holds(("S", "a", "c"))  # memoize the slice
-        base = set(engine._store.iter_facts())
-        with pytest.raises(InferenceError):
-            engine.apply_batch(
-                adds=[("S", "?x", "b")], retracts=[("S", "a", "b")]
-            )
-        assert set(engine._store.iter_facts()) == base
-        assert engine.holds(("S", "a", "c"))
-        assert engine.facts("S") == {
-            ("S", "a", "b"),
-            ("S", "b", "c"),
-            ("S", "a", "c"),
-        }

@@ -7,7 +7,6 @@ import pytest
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
 from repro.inference.horn import (
-    FactStore,
     HornEngine,
     compile_clause,
     is_variable,
@@ -269,27 +268,3 @@ class TestCompilationAndStore:
         for index, plan in enumerate(compiled.delta_plans):
             assert plan.steps[0].orig == index
         assert compiled.body_preds == {"parent", "brother"}
-
-    def test_store_overlay_shares_base_without_copying(self) -> None:
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        base.add(("T", "a", "b"))
-        overlay = FactStore(base=base, visible=frozenset({"S"}))
-        assert ("S", "a", "b") in overlay
-        assert ("T", "a", "b") not in overlay  # restricted away
-        overlay.add(("S", "b", "c"))
-        assert set(overlay.pool("S")) == {("S", "a", "b"), ("S", "b", "c")}
-        assert set(base.pool("S")) == {("S", "a", "b")}  # base untouched
-        assert overlay.probe_size("S", 2, "b") == 1
-        assert len(overlay) == 2
-
-    def test_engine_over_overlay_store_saturates_against_base(self) -> None:
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        base.add(("S", "b", "c"))
-        engine = HornEngine(
-            store=FactStore(base=base, visible=frozenset({"S"}))
-        )
-        engine.add_clause(TRANS)
-        assert engine.holds(("S", "a", "c"))
-        assert ("S", "a", "c") not in base  # derived facts stay local

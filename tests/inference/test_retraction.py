@@ -17,10 +17,9 @@ from hypothesis import given, settings
 
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
-from repro.inference.goal import GoalDirectedEngine
 from repro.inference.horn import FactStore, HornEngine
 
-from tests.support.baselines import FlatHornEngine, NaiveHornEngine
+from tests.support.baselines import FlatHornEngine
 from tests.support.churn_scripts import (
     CLAUSE_POOL,
     TRANS,
@@ -51,7 +50,7 @@ def saturated(facts, clauses=PROGRAM) -> HornEngine:
 
 
 # ----------------------------------------------------------------------
-# FactStore.remove and the deletion-delta overlay
+# FactStore.remove
 # ----------------------------------------------------------------------
 class TestFactStoreRemove:
     def test_local_remove_maintains_every_index(self) -> None:
@@ -80,46 +79,6 @@ class TestFactStoreRemove:
         store.remove(("S", "a", "b"))
         assert store.predicates() == set()
         assert list(store.iter_facts()) == []
-
-    def test_overlay_remove_is_a_tombstone(self) -> None:
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        base.add(("S", "b", "c"))
-        overlay = FactStore(base=base)
-        assert overlay.remove(("S", "a", "b"))
-        # the overlay no longer sees the fact anywhere...
-        assert ("S", "a", "b") not in overlay
-        assert list(overlay.pool("S")) == [("S", "b", "c")]
-        assert overlay.pool_size("S") == 1
-        assert list(overlay.probe("S", 1, "a")) == []
-        assert overlay.probe_size("S", 1, "a") == 0
-        assert len(overlay) == 1
-        assert set(overlay.iter_facts()) == {("S", "b", "c")}
-        # ...but the base store is untouched.
-        assert ("S", "a", "b") in base
-        assert base.pool_size("S") == 2
-
-    def test_overlay_add_lifts_the_tombstone(self) -> None:
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        overlay = FactStore(base=base)
-        overlay.remove(("S", "a", "b"))
-        assert overlay.add(("S", "a", "b"))
-        assert ("S", "a", "b") in overlay
-        assert overlay.pool_size("S") == 1
-        assert overlay.probe_size("S", 2, "b") == 1
-        assert len(overlay) == 1
-        # lifting is not a local copy: nothing to unlink locally
-        assert not overlay._facts
-
-    def test_overlay_respects_visibility(self) -> None:
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        base.add(("T", "a", "b"))
-        overlay = FactStore(base=base, visible=frozenset({"S"}))
-        assert not overlay.remove(("T", "a", "b"))  # never visible
-        assert overlay.remove(("S", "a", "b"))
-        assert len(overlay) == 0
 
 
 # ----------------------------------------------------------------------
@@ -184,24 +143,6 @@ class TestRetractFact:
         )
         assert engine.facts() == expected.facts()
         assert engine.last_stats["mode"] == "retract"
-
-    def test_base_overlay_facts_are_shielded_from_overdeletion(
-        self,
-    ) -> None:
-        """Facts supplied through a FactStore base overlay are
-        extensional input too: the DRed cone must never swallow them
-        (DRed must agree with the naive engine's replay from base)."""
-        for engine_cls in (HornEngine, NaiveHornEngine):
-            base = FactStore()
-            base.add(("S", "a", "c"))
-            engine = engine_cls(store=FactStore(base=base))
-            engine.add_clause(TRANS)
-            engine.add_fact(("S", "a", "b"))
-            engine.add_fact(("S", "b", "c"))
-            engine.saturate()
-            engine.retract_fact(("S", "b", "c"))
-            assert engine.holds(("S", "a", "c")), engine_cls
-            assert not engine.holds(("S", "b", "c")), engine_cls
 
     def test_non_ground_retraction_raises(self) -> None:
         engine = HornEngine()
@@ -334,54 +275,21 @@ class TestFallbackPaths:
             chain(6, skip=2), clauses=(TRANS,)
         ).facts()
 
-    def test_replay_preserves_external_tombstones_and_store(self) -> None:
-        """The replay fallback must not resurrect facts an external
-        overlay owner tombstoned, nor detach the caller's store."""
-        base = FactStore()
-        base.add(("S", "a", "b"))
-        overlay = FactStore(base=base)
-        overlay.remove(("S", "a", "b"))  # owner's deletion delta
-        engine = HornEngine(store=overlay, rebuild_crossover=1)
+    def test_crossover_rebuild_keeps_caller_store(self) -> None:
+        """A batch past the crossover replays from base in place: the
+        engine keeps working on the store object the caller supplied."""
+        store = FactStore()
+        engine = HornEngine(store=store)
+        engine.rebuild_crossover = 1
         engine.add_clause(TRANS)
-        engine.add_facts([("S", "b", "c"), ("S", "x", "y")])
-        engine.saturate()
-        assert not engine.holds(("S", "a", "c"))
-        report = engine.apply_batch(retracts=[("S", "x", "y")])
-        assert report["decision"] == "rebuild"  # replay from base
-        assert not engine.holds(("S", "a", "c"))  # tombstone survived
-        assert not engine.holds(("S", "a", "b"))
-        assert engine.store is overlay  # same object the caller owns
-
-    def test_goal_directed_engine_forgets_removed_facts(self) -> None:
-        engine = GoalDirectedEngine()
-        engine.add_clauses([TRANS, LIFT])
-        engine.add_facts(chain(5))
-        assert engine.holds(("implies", "n0", "n4"))
-        assert engine.remove_fact(("S", "n2", "n3"))
-        assert not engine.holds(("implies", "n0", "n4"))
-        assert engine.holds(("implies", "n0", "n2"))
-        assert not engine.remove_fact(("S", "n2", "n3"))
-
-    def test_goal_directed_engine_retracts_clauses(self) -> None:
-        engine = GoalDirectedEngine()
-        engine.add_clauses([TRANS, LIFT])
         engine.add_facts(chain(4))
-        assert engine.holds(("implies", "n0", "n3"))
-        assert engine.retract_clause(TRANS)
-        assert not engine.holds(("implies", "n0", "n3"))
-        assert engine.holds(("implies", "n0", "n1"))
-        assert not engine.retract_clause(TRANS)
-
-    def test_goal_directed_duplicate_adds_retract_fully(self) -> None:
-        """add_clause dedups (HornEngine parity), so one retraction
-        removes the clause no matter how often it was added."""
-        engine = GoalDirectedEngine()
-        engine.add_clause(TRANS)
-        engine.add_clause(TRANS)
-        engine.add_facts(chain(3))
-        assert engine.holds(("S", "n0", "n2"))
-        assert engine.retract_clause(TRANS)
-        assert not engine.holds(("S", "n0", "n2"))
+        engine.saturate()
+        report = engine.apply_batch(retracts=[("S", "n1", "n2")])
+        assert report["decision"] == "rebuild"  # replay from base
+        assert engine.facts() == oracle_engine(
+            set(chain(4, skip=1)), [TRANS]
+        ).facts()
+        assert engine.store is store  # same object the caller owns
 
 
 # ----------------------------------------------------------------------

@@ -89,21 +89,6 @@ class TestFactStoreContract:
             ("S", "n3", "zz"),
         }
 
-    def test_overlay_factstore_composes_over_paged_base(self, store) -> None:
-        """The serving tier's copy-free overlay discipline must work
-        with a paged base: tombstones shadow, local facts add."""
-        for atom in _chain(5):
-            store.add(atom)
-        overlay = FactStore(base=store)
-        assert ("S", "n0", "n1") in overlay
-        overlay.remove(("S", "n0", "n1"))  # tombstone, not a base delete
-        assert ("S", "n0", "n1") not in overlay
-        assert ("S", "n0", "n1") in store
-        overlay.add(("S", "zz", "ww"))
-        assert ("S", "zz", "ww") in overlay
-        assert ("S", "zz", "ww") not in store
-        assert set(overlay.probe("S", 1, "zz")) == {("S", "zz", "ww")}
-
     def test_persistence_across_reopen(self, tmp_path) -> None:
         path = tmp_path / "facts.sqlite"
         first = PagedFactStore(path)

@@ -90,9 +90,17 @@ class TestIsolation:
     def test_detach_counted_only_when_pinned(self, service) -> None:
         service.apply_facts([("implies", "x:A", "x:B")], [])
         assert service.stats()["counts"]["detaches"] == 0
-        service.create_session()
+        sid = service.create_session()["session"]
+        session = service.sessions.get(sid)
+        published = service._horn().store
+        # the session pins the published store object itself
+        assert session.store is published
         service.apply_facts([("implies", "x:B", "x:C")], [])
         assert service.stats()["counts"]["detaches"] == 1
+        live = service._horn().store
+        assert session.store is published  # still the frozen snapshot
+        assert live is not published  # the engine moved onto a copy
+        assert not service.sessions.pins(live)
 
     def test_reinstall_replaces_engine_without_detach(self, service) -> None:
         """Installing replaces the pinned engine rather than mutating
