@@ -4,15 +4,17 @@ The runtime write-ahead journals batched churn and retries locked
 SQLite statements.  This experiment prices the journal and proves
 recovery works:
 
-* **journal overhead** — fault-free batched churn with and without a
+* **journal overhead** — crash-free batched churn with and without a
   :class:`~repro.reliability.journal.ChurnJournal` attached (each
-  batch pays one fsynced begin + one commit append).
-* **recovery latency** — a scripted mid-batch crash, then
-  :meth:`ChurnJournal.recover`; how long until a fresh engine stands
-  at the fixpoint the crashed batch was driving toward, compared to
-  what a fault-free run of the same campaign cost.
-* **chaos campaign** — the headline: mid-batch process deaths injected
-  at a realistic rate, final state bit-for-bit equal to the fault-free
+  batch pays one committed SQLite transaction for its begin record
+  and one for its commit).
+* **recovery latency** — a crash at batch 0 (its begin record durable,
+  the engine abandoned), then :meth:`ChurnJournal.recover` from a
+  fresh journal; how long until a fresh engine stands at the fixpoint
+  the crashed batch was driving toward, compared to what a crash-free
+  run of the same campaign cost.
+* **chaos campaign** — the headline: mid-batch process deaths at a
+  realistic rate, final state bit-for-bit equal to the crash-free
   oracle (``resil.chaos_parity`` is 1.0 or the perf-trajectory gate
   fails).
 
@@ -22,6 +24,7 @@ Running this module writes ``BENCH_resilience.json`` next to it.
 from __future__ import annotations
 
 import json
+import random
 import statistics
 import time
 from pathlib import Path
@@ -29,9 +32,12 @@ from pathlib import Path
 import pytest
 
 from repro.inference.horn import HornEngine
-from repro.reliability import ChurnJournal, FaultPlan
-from repro.workloads import chaos_batches, run_chaos_campaign
-from repro.workloads.chaos import CHAOS_CLAUSES
+from repro.reliability import ChurnJournal
+from tests.support.chaos import (
+    CHAOS_CLAUSES,
+    chaos_batches,
+    run_chaos_campaign,
+)
 
 RESULTS: dict[str, object] = {"experiment": "RESILIENCE", "workloads": {}}
 _JSON_PATH = Path(__file__).resolve().parent / "BENCH_resilience.json"
@@ -51,14 +57,14 @@ def _churn_campaign(journal: ChurnJournal | None) -> float:
 
 
 def test_journal_overhead(table, tmp_path) -> None:
-    """Crash safety costs one fsynced begin + commit per batch."""
+    """Crash safety costs one begin + one commit transaction per batch."""
     repeats = 5
     plain: list[float] = []
     journaled: list[float] = []
     for i in range(repeats):
         plain.append(_churn_campaign(None))
         journaled.append(
-            _churn_campaign(ChurnJournal(tmp_path / f"j{i}.jsonl"))
+            _churn_campaign(ChurnJournal(tmp_path / f"j{i}.journal"))
         )
     plain_ms = statistics.median(plain)
     journal_ms = statistics.median(journaled)
@@ -81,31 +87,28 @@ def test_journal_overhead(table, tmp_path) -> None:
 
 def test_recovery_latency(table, tmp_path) -> None:
     """From journaled crash to recovered fixpoint, priced against the
-    fault-free cost of the same campaign."""
-    # fault-free reference
+    crash-free cost of the same campaign."""
+    # crash-free reference
     t0 = time.perf_counter()
-    fault_free = run_chaos_campaign(tmp_path / "ref.jsonl", seed=9)
+    fault_free = run_chaos_campaign(tmp_path / "ref.journal", seed=9)
     fault_free_ms = (time.perf_counter() - t0) * 1000.0
     assert fault_free.parity and fault_free.recoveries == 0
 
-    # crash the 6th batch, time the recovery alone
-    journal = ChurnJournal(tmp_path / "crash.jsonl")
-    plan = FaultPlan.scripted({"batch_crash": [0]})
-    engine = HornEngine(journal=journal, fault_plan=plan)
+    # crash at batch crashed_at, time the recovery alone
+    path = tmp_path / "crash.journal"
+    journal = ChurnJournal(path)
+    engine = HornEngine(journal=journal)
     engine.add_clauses(CHAOS_CLAUSES)
     engine.saturate()
     journal.snapshot(engine)
     batches = chaos_batches(batches=12, ops_per_batch=10, seed=9)
-    crashed_at = None
-    for index, (adds, retracts) in enumerate(batches):
-        try:
-            engine.apply_batch(adds, retracts)
-        except Exception:  # FaultInjected — the simulated process death
-            crashed_at = index
-            break
-    assert crashed_at is not None
+    crashed_at = 0
+    for adds, retracts in batches[:crashed_at]:
+        engine.apply_batch(adds, retracts)
+    # the crash: the begin record is durable, the engine is abandoned
+    journal.begin(*batches[crashed_at])
     t0 = time.perf_counter()
-    recovered, report = journal.recover()
+    recovered, report = ChurnJournal(path).recover()
     recover_ms = (time.perf_counter() - t0) * 1000.0
     assert report["replayed_pending"] == 1
     for adds, retracts in batches[crashed_at + 1 :]:
@@ -129,7 +132,7 @@ def test_recovery_latency(table, tmp_path) -> None:
         f"{crashed_at + 1}/12)",
         ["phase", "time"],
         [
-            ("fault-free campaign", f"{fault_free_ms:.1f}ms"),
+            ("crash-free campaign", f"{fault_free_ms:.1f}ms"),
             ("journal.recover()", f"{recover_ms:.1f}ms"),
         ],
     )
@@ -143,22 +146,22 @@ def test_recovery_latency(table, tmp_path) -> None:
 
 
 def test_chaos_campaign(table, tmp_path) -> None:
-    """The headline: realistic fault rates, bit-for-bit parity."""
-    plan = FaultPlan(seed=13, rates={"batch_crash": 0.2})
+    """The headline: a realistic crash rate, bit-for-bit parity."""
+    rng = random.Random(13)
+    crash_at = sorted(i for i in range(10) if rng.random() < 0.2)
     result = run_chaos_campaign(
-        tmp_path / "chaos.jsonl", seed=6, batches=10, fault_plan=plan
+        tmp_path / "chaos.journal", seed=6, batches=10, crash_at=crash_at
     )
     assert result.parity, "chaos campaign diverged from the oracle"
-    injected = result.fault_summary.get("fired", {})
-    assert injected, "no fault fired — the campaign proved nothing"
+    assert result.recoveries, "no crash happened — the campaign proved nothing"
     table(
         "RESILIENCE chaos campaign (10 batches)",
         ["measure", "value"],
         [
             ("parity", result.parity),
             ("facts (== oracle)", result.facts),
+            ("crashed at batches", crash_at),
             ("journal recoveries", result.recoveries),
-            ("faults fired", dict(sorted(injected.items()))),
             ("elapsed", f"{result.elapsed_ms:.1f}ms"),
         ],
     )
@@ -166,8 +169,8 @@ def test_chaos_campaign(table, tmp_path) -> None:
         "parity": 1.0 if result.parity else 0.0,
         "facts": result.facts,
         "oracle_facts": result.oracle_facts,
+        "crash_at": crash_at,
         "recoveries": result.recoveries,
-        "faults_fired": dict(sorted(injected.items())),
         "elapsed_ms": round(result.elapsed_ms, 2),
     }
 

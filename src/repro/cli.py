@@ -286,6 +286,14 @@ def build_server(args: argparse.Namespace):
         storage_path=args.storage_db,
         buffer_facts=args.buffer_facts,
     )
+    if service.recovery is not None and (args.workload or args.sources):
+        # the journal holds only the Horn layer: installing an
+        # articulation over it would snapshot away what was recovered
+        raise OnionError(
+            f"journal {args.journal} already holds recovered state; "
+            "serve it without --workload or source files, or start on "
+            "a fresh --journal"
+        )
     if args.workload == "paper":
         backend_factory = None
         if args.backend == "sqlite":
@@ -566,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--journal",
-        help="write-ahead churn journal path (enables crash recovery)",
+        help="write-ahead churn journal path (enables crash recovery; "
+        "restart on it without --workload or source files)",
     )
     serve.add_argument(
         "--sessions", type=int, default=256, help="live session limit"

@@ -145,7 +145,7 @@ class OntologyInferenceEngine:
     The keyword arguments configure the
     :class:`~repro.inference.horn.HornEngine` this wrapper builds, and
     every rebuild after an axiom change: derivation recording, the
-    fact store's backend, and the reliability hooks.
+    fact store's backend, and the churn journal.
     """
 
     def __init__(
@@ -155,7 +155,6 @@ class OntologyInferenceEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        fault_plan=None,
         journal=None,
     ) -> None:
         self.record_derivations = record_derivations
@@ -166,11 +165,10 @@ class OntologyInferenceEngine:
         # (e.g. one produced by `onion ingest`); program rebuilds must
         # start from an empty store, so they get private temp files
         self._storage_path_spent = False
-        # reliability knobs, forwarded to every HornEngine this
-        # wrapper builds (including rebuilds on program change); the
-        # journal makes every apply_batch a refresh routes through
-        # crash-safe (the serving tier's write path)
-        self.fault_plan = fault_plan
+        # forwarded to every HornEngine this wrapper builds (including
+        # rebuilds on program change): the journal makes every
+        # apply_batch a refresh routes through crash-safe (the serving
+        # tier's write path)
         self.journal = journal
         self.engine = self._new_horn_engine()
         self._loaded_edges: set[Atom] = set()
@@ -209,7 +207,6 @@ class OntologyInferenceEngine:
             storage=self.storage,
             storage_path=path,
             buffer_facts=self.buffer_facts,
-            fault_plan=self.fault_plan,
             journal=self.journal,
         )
 

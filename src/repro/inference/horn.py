@@ -68,11 +68,15 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.rules import HornClause
 from repro.errors import InferenceError
-from repro.reliability.faults import FaultInjected, FaultPlan
-from repro.reliability.journal import ChurnJournal
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # a runtime import would load sqlite3 into every process that
+    # builds an engine, journaled or not, and raise its peak RSS
+    from repro.reliability.journal import ChurnJournal
 
 __all__ = [
     "Atom",
@@ -582,13 +586,10 @@ class HornEngine:
     the DRed pass to a full rebuild: :data:`DEFAULT_REBUILD_CROSSOVER`,
     or ``None`` to always run DRed.
 
-    ``fault_plan`` threads seeded chaos-testing faults through the
-    ``batch_crash`` hook in :meth:`apply_batch` (``None`` — the
-    default — injects nothing and costs a single identity check);
     ``journal`` attaches a
     :class:`~repro.reliability.journal.ChurnJournal` that makes
-    :meth:`apply_batch` crash-safe by write-ahead logging every diff
-    before it mutates the engine.
+    :meth:`apply_batch` crash-safe by write-ahead logging every diff,
+    in one SQLite transaction, before it mutates the engine.
     """
 
     def __init__(
@@ -599,7 +600,6 @@ class HornEngine:
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        fault_plan: FaultPlan | None = None,
         journal: ChurnJournal | None = None,
     ) -> None:
         if storage not in ("memory", "paged"):
@@ -609,7 +609,6 @@ class HornEngine:
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
         self.rebuild_crossover: int | None = DEFAULT_REBUILD_CROSSOVER
-        self.fault_plan = fault_plan
         self.journal = journal
         self._store = store if store is not None else self._new_store()
         self._clauses: list[HornClause] = []
@@ -1278,12 +1277,12 @@ class HornEngine:
 
         With a :class:`~repro.reliability.journal.ChurnJournal`
         attached the batch is crash-safe: the coalesced diff is
-        durably journaled *before* any mutation, and committed once
-        the batch (and its saturation) completed — so a process dying
-        anywhere inside this method loses nothing;
-        :meth:`ChurnJournal.recover` replays the journal to the
-        fixpoint this batch was driving toward.  The report then
-        carries the batch's ``journal_seq``.
+        durably journaled *before* any mutation (one committed SQLite
+        transaction), and committed once the batch (and its
+        saturation) completed — so a process killed anywhere inside
+        this method loses nothing; :meth:`ChurnJournal.recover`
+        replays the journal to the fixpoint this batch was driving
+        toward.  The report then carries the batch's ``journal_seq``.
 
         A batch holding any non-ground atom raises
         :class:`InferenceError` before anything is journaled or
@@ -1298,13 +1297,6 @@ class HornEngine:
         seq: int | None = None
         if journal is not None:
             seq = journal.begin(adds, retracts)
-        if self.fault_plan is not None and self.fault_plan.batch_crash():
-            # chaos hook: the diff is journaled, the engine untouched —
-            # exactly the state a process crash here would leave behind
-            raise FaultInjected(
-                "injected process crash mid-apply_batch (diff journaled, "
-                "engine not yet mutated)"
-            )
         retracted = self.retract_facts(retracts)
         added = self.add_facts(adds)
         queued = len(self._pending_retractions) + len(

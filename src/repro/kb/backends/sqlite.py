@@ -37,7 +37,6 @@ from pathlib import Path
 from repro.errors import KnowledgeBaseError
 from repro.kb.backends.base import StorageBackend, matches_conditions
 from repro.kb.instances import Instance
-from repro.reliability.faults import FaultPlan
 from repro.reliability.policy import SQLITE_RETRY_POLICY, RetryPolicy
 
 __all__ = ["SQLiteBackend", "condition_to_sql"]
@@ -148,12 +147,10 @@ class SQLiteBackend(StorageBackend):
         *,
         busy_timeout_ms: int = 5000,
         retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         super().__init__()
         self.path = str(path)
         self._retry = retry_policy or SQLITE_RETRY_POLICY
-        self._fault_plan = fault_plan
         self._busy_timeout_ms = int(busy_timeout_ms)
         #: locked-database retries performed (observability/tests)
         self.lock_retries = 0
@@ -196,8 +193,8 @@ class SQLiteBackend(StorageBackend):
         )
         # first line of defence: SQLite itself waits out a writer
         # before surfacing "database is locked"; the _execute retry
-        # loop is the second, for busy shared caches and injected
-        # faults that the pragma cannot absorb.
+        # loop is the second, for busy shared caches and locks that
+        # outlive the pragma.
         conn.execute(f"PRAGMA busy_timeout = {self._busy_timeout_ms}")
         with self._conns_lock:
             self._conns.append(conn)
@@ -221,19 +218,9 @@ class SQLiteBackend(StorageBackend):
         immediately; a lock that outlives ``max_retries`` attempts
         raises the final OperationalError unchanged.
         """
-        inject = (
-            self._fault_plan is not None and self._fault_plan.sqlite_fault()
-        )
         attempt = 0
         while True:
             try:
-                if inject:
-                    # one transient failure, handled by the very same
-                    # retry path a real contended database would take
-                    inject = False
-                    raise sqlite3.OperationalError(
-                        "database is locked (injected)"
-                    )
                 if self._shared_conn is not None:
                     # one statement at a time on the shared :memory:
                     # connection; per-thread file connections need no
@@ -285,7 +272,7 @@ class SQLiteBackend(StorageBackend):
         """Group many inserts into one transaction (bulk loading).
 
         Every exception path rolls back: the body raising, the COMMIT
-        itself failing, even an injected lock error mid-insert — the
+        itself failing, even a lock error outliving the retries — the
         ``in_transaction`` guard means a rollback is attempted exactly
         when a transaction is actually open, so no exception can leave
         the connection wedged inside a stale BEGIN.

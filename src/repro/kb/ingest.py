@@ -104,9 +104,11 @@ def ingest_facts(
         if journal_path is not None:
             from repro.reliability.journal import ChurnJournal
 
-            journaled = ChurnJournal(journal_path).snapshot_state(
-                store.iter_facts()
-            )
+            journal = ChurnJournal(journal_path)
+            try:
+                journaled = journal.snapshot_state(store.iter_facts())
+            finally:
+                journal.close()
         report["journaled"] = journaled
         report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
         report["db"] = str(db_path)

@@ -76,6 +76,10 @@ _COMMIT_EVERY = 20000
 
 _FETCH_CHUNK = 2048
 
+#: the *SQLite* page cache, in KiB: it must stay small too, or the
+#: buffer pool's fact cap would be an accounting fiction
+_SQLITE_CACHE_KB = 2048
+
 
 def _encode(atom: Atom) -> str:
     return json.dumps(list(atom), separators=(",", ":"), ensure_ascii=False)
@@ -106,7 +110,6 @@ class PagedFactStore:
         *,
         buffer_facts: int = DEFAULT_BUFFER_FACTS,
         commit_every: int = _COMMIT_EVERY,
-        sqlite_cache_kb: int = 2048,
     ) -> None:
         if buffer_facts < 1:
             raise ValueError(
@@ -131,9 +134,7 @@ class PagedFactStore:
         if self.path != ":memory:":
             conn.execute("PRAGMA journal_mode = WAL")
         conn.execute("PRAGMA synchronous = NORMAL")
-        # the *SQLite* page cache must stay small too, or the buffer
-        # pool's fact cap would be an accounting fiction
-        conn.execute(f"PRAGMA cache_size = -{int(sqlite_cache_kb)}")
+        conn.execute(f"PRAGMA cache_size = -{_SQLITE_CACHE_KB}")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS facts ("
             " atom TEXT PRIMARY KEY,"

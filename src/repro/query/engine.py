@@ -61,16 +61,13 @@ class QueryEngine:
         stores: Mapping[str, InstanceStore | SourceWrapper],
         *,
         pushdown: bool = False,
-        plan_cache_size: int = 128,
     ) -> None:
         self.unified = UnifiedOntology(articulation)
         self.pushdown = pushdown
         self.wrappers: dict[str, SourceWrapper] = {
             name: as_wrapper(store) for name, store in stores.items()
         }
-        self.planner = Planner(
-            self.unified, pushdown=pushdown, cache_size=plan_cache_size
-        )
+        self.planner = Planner(self.unified, pushdown=pushdown)
         self.executor = StreamingExecutor(self.wrappers)
         #: stats of the most recent :meth:`run` (peak rows, scan counts)
         self.last_stats: ExecutionStats | None = None

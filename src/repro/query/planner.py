@@ -230,6 +230,10 @@ def articulation_fingerprint(articulation: Articulation) -> tuple:
 # ----------------------------------------------------------------------
 # the planner
 # ----------------------------------------------------------------------
+#: cached physical plans per planner (LRU beyond this)
+PLAN_CACHE_SIZE = 128
+
+
 @dataclass(frozen=True)
 class PlanCacheInfo:
     hits: int
@@ -251,13 +255,12 @@ class Planner:
         unified: UnifiedOntology | Articulation,
         *,
         pushdown: bool = False,
-        cache_size: int = 128,
     ) -> None:
         if isinstance(unified, Articulation):
             unified = UnifiedOntology(unified)
         self.unified = unified
         self.pushdown = pushdown
-        self.cache_size = cache_size
+        self.cache_size = PLAN_CACHE_SIZE
         # key -> (plan, pinned rule objects).  The lock covers every
         # dict operation: the serving tier plans from concurrent
         # request threads, and OrderedDict.move_to_end mid-resize is

@@ -1,8 +1,9 @@
 """Retry policy for the SQLite backend's locked-database loop.
 
 One small value object: how many times to retry and how long to back
-off.  Delays are fully deterministic (exponential, capped, no jitter)
-so chaos tests replay bit-for-bit.
+off.  Delays are fully deterministic (exponential, capped, no jitter),
+so a test that holds a real lock sees the same retry schedule on
+every run.
 """
 
 from __future__ import annotations

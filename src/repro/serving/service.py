@@ -22,12 +22,16 @@ table — and arbitrates access with one readers-writer lock:
   (a new engine replaces the old one), a refresh whose stamp has not
   moved — skip the copy.
 
-Durability rides the PR 7 machinery: constructed with a journal path,
-every published diff is write-ahead journaled by the Horn engine's
-:meth:`~repro.inference.horn.HornEngine.apply_batch`, and a service
-started over a non-empty journal recovers straight to the pre-crash
-fixpoint (:meth:`ChurnJournal.recover`) and serves inference from it
-before any articulation is even installed.
+Durability comes from the churn journal, a SQLite database:
+constructed with a journal path, every published diff is write-ahead
+journaled by the Horn engine's
+:meth:`~repro.inference.horn.HornEngine.apply_batch`, one committed
+transaction per record, and a service started over a non-empty journal
+recovers straight to the pre-crash fixpoint
+(:meth:`ChurnJournal.recover`) and serves inference from it before any
+articulation is even installed.  The journal holds only the Horn
+layer, so a recovered service is served as it is: installing an
+articulation over it starts a new history.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ from repro.workloads.churn import apply_churn
 __all__ = ["ArticulationService", "load_paper_workload"]
 
 _ENGINE_EPOCH = "onion-serving/1"  # protocol+engine revision in cache keys
+
+#: journaled batches between snapshots: bounds what recovery replays
+SNAPSHOT_EVERY = 32
 
 
 class _RWLock:
@@ -116,23 +123,17 @@ class ArticulationService:
         self,
         *,
         pushdown: bool = False,
-        plan_cache_size: int = 128,
         result_cache_size: int = 512,
         session_limit: int = 256,
         journal_path: str | None = None,
-        snapshot_every: int = 32,
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
-        fault_plan=None,
     ) -> None:
         self.pushdown = pushdown
-        self.plan_cache_size = plan_cache_size
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        self.fault_plan = fault_plan
-        self.snapshot_every = snapshot_every
 
         self._rw = _RWLock()
         self.sessions = SessionManager(limit=session_limit)
@@ -164,12 +165,11 @@ class ArticulationService:
         self.journal: ChurnJournal | None = None
         if journal_path is not None:
             self.journal = ChurnJournal(journal_path)
-            if self.journal.records():
+            if not self.journal.empty():
                 horn, report = self.journal.recover(
                     storage=storage,
                     storage_path=storage_path,
                     buffer_facts=buffer_facts,
-                    fault_plan=fault_plan,
                 )
                 self._recovered = horn
                 self.recovery = report
@@ -219,7 +219,7 @@ class ArticulationService:
             return
         if journaled_batch:
             self._batches_since_snapshot += 1
-            if self._batches_since_snapshot < self.snapshot_every:
+            if self._batches_since_snapshot < SNAPSHOT_EVERY:
                 return
         # Compact: either the mutation bypassed apply_batch (rebuild,
         # install, instance edits) or the log grew long enough that
@@ -284,17 +284,13 @@ class ArticulationService:
         self._inference = OntologyInferenceEngine(
             storage=self.storage,
             buffer_facts=self.buffer_facts,
-            fault_plan=self.fault_plan,
             journal=self.journal,
         )
         self._inference.refresh_from_articulation(articulation)
         self._recovered = None
         self._stores = dict(stores or {})
         self._query_engine = QueryEngine(
-            articulation,
-            self._stores,
-            pushdown=self.pushdown,
-            plan_cache_size=self.plan_cache_size,
+            articulation, self._stores, pushdown=self.pushdown
         )
         self._publish()
         return {

@@ -1,14 +1,7 @@
 """Workloads: the paper's Fig. 2 example, synthetic ontology families,
-the churn model for maintenance experiments, the chaos harness that
-replays churn under seeded fault injection, and the serving load
+the churn model for maintenance experiments, and the serving load
 generator (Zipfian query mix + background churn + isolation audit)."""
 
-from repro.workloads.chaos import (
-    CHAOS_CLAUSES,
-    ChaosResult,
-    chaos_batches,
-    run_chaos_campaign,
-)
 from repro.workloads.churn import (
     ChurnReport,
     ChurnRunResult,
@@ -42,8 +35,6 @@ from repro.workloads.paper_example import (
 
 __all__ = [
     "ARTICULATION_NAME",
-    "CHAOS_CLAUSES",
-    "ChaosResult",
     "ChurnReport",
     "ChurnRunResult",
     "Concept",
@@ -57,13 +48,11 @@ __all__ = [
     "WorkloadConfig",
     "apply_churn",
     "carrier_ontology",
-    "chaos_batches",
     "default_request_pool",
     "factory_ontology",
     "generate_transport_articulation",
     "generate_workload",
     "paper_rules",
-    "run_chaos_campaign",
     "run_churn_workload",
     "run_load",
     "zipf_weights",

@@ -11,7 +11,7 @@ from repro.core.ontology import Ontology, qualify
 from repro.core.rules import ImplicationRule
 from repro.errors import ArticulationError
 from repro.inference.engine import OntologyInferenceEngine
-from repro.reliability import FaultInjected, FaultPlan
+from repro.inference.horn import HornEngine
 from repro.workloads.churn import apply_churn
 from repro.workloads.generator import WorkloadConfig, generate_workload
 from repro.workloads.paper_example import generate_transport_articulation
@@ -601,18 +601,24 @@ class TestRefreshFromJournal:
         assert refresh["extracted"] == ["carrier"]
         _assert_matches_fresh_engine(engine, articulation)
 
-    def test_failed_batch_rebuilds_on_next_refresh(self) -> None:
+    def test_failed_batch_rebuilds_on_next_refresh(
+        self, monkeypatch
+    ) -> None:
         """A refresh whose batch fails has already moved its parts; the
         next refresh rebuilds from them instead of losing the delta."""
         articulation = generate_transport_articulation()
-        engine = OntologyInferenceEngine(
-            fault_plan=FaultPlan.scripted({"batch_crash": [0]})
-        )
+        engine = OntologyInferenceEngine()
         engine.refresh_from_articulation(articulation)
         carrier = articulation.sources["carrier"]
         carrier.ensure_term("Tricycle")
         carrier.add_subclass("Tricycle", "Cars")
-        with pytest.raises(FaultInjected):
+
+        def fail_once(self, adds=(), retracts=(), **kwargs):
+            monkeypatch.undo()
+            raise RuntimeError("batch failed")
+
+        monkeypatch.setattr(HornEngine, "apply_batch", fail_once)
+        with pytest.raises(RuntimeError, match="batch failed"):
             engine.refresh_from_articulation(articulation)
         assert engine.refresh_from_articulation(articulation)["mode"] == (
             "initial"

@@ -289,11 +289,13 @@ class TestIngestFile:
         from repro.reliability.journal import ChurnJournal
 
         db = tmp_path / "facts.sqlite"
-        journal_path = tmp_path / "journal.jsonl"
+        journal_path = tmp_path / "facts.journal"
         report = ingest_facts(
             db, _chain(25), journal_path=journal_path
         )
         assert report["journaled"] == 25
+        # the ingest closed its journal: no connection keeps a WAL open
+        assert not (tmp_path / "facts.journal-wal").exists()
         recovered, rec_report = ChurnJournal(journal_path).recover()
         assert rec_report["facts"] == 25
         assert recovered.base_facts() == set(_chain(25))

@@ -1,5 +1,11 @@
 """SQLite backend resilience: busy timeout, lock retry, rollback,
-context-manager lifecycle."""
+context-manager lifecycle.
+
+Lock tests hold a real lock from a second connection on a file
+database, with ``busy_timeout_ms=0`` so the backend sees "database is
+locked" at once; patching the backend module's ``time.sleep`` releases
+the lock at the first backoff, deterministically.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +13,24 @@ import sqlite3
 
 import pytest
 
+from repro.kb.backends import sqlite as sqlite_module
 from repro.kb.backends.sqlite import SQLiteBackend
 from repro.kb.instances import Instance
-from repro.reliability import FaultPlan, RetryPolicy
+from repro.reliability import RetryPolicy
 
 FAST = RetryPolicy(max_retries=3, backoff_base=0.001, backoff_cap=0.005)
+NO_RETRY = RetryPolicy(max_retries=0, backoff_base=0.0, backoff_cap=0.0)
 
 
 def _instance(i: int) -> Instance:
     return Instance(f"i{i}", "Car", {"price": i})
+
+
+def _write_locker(path) -> sqlite3.Connection:
+    """A second connection holding the database's write lock."""
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    return other
 
 
 class TestBusyTimeoutAndRetry:
@@ -25,24 +40,39 @@ class TestBusyTimeoutAndRetry:
         assert value == 1234
         backend.close()
 
-    def test_injected_lock_is_retried_transparently(self) -> None:
-        plan = FaultPlan(seed=0, rates={"sqlite_lock": 1.0}, max_fires=3)
-        backend = SQLiteBackend(retry_policy=FAST, fault_plan=plan)
+    def test_injected_lock_is_retried_transparently(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """A lock held by a second connection fails the insert once;
+        the retry after the backoff (which releases it) succeeds."""
+        path = tmp_path / "kb.db"
+        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=FAST)
+        other = _write_locker(path)
+        sleeps: list[float] = []
+
+        def release(seconds: float) -> None:
+            sleeps.append(seconds)
+            other.execute("COMMIT")
+
+        monkeypatch.setattr(sqlite_module.time, "sleep", release)
         backend.insert(_instance(0))
+        other.close()
         assert backend.get("i0") is not None
-        assert backend.lock_retries >= 1
+        assert backend.lock_retries == 1
+        assert sleeps == [FAST.delay(0)]
         backend.close()
 
-    def test_lock_that_outlives_retries_raises(self) -> None:
-        backend = SQLiteBackend(
-            retry_policy=RetryPolicy(
-                max_retries=0, backoff_base=0.0, backoff_cap=0.0
-            ),
-        )
-        # arm after construction so the schema DDL is not the victim
-        backend._fault_plan = FaultPlan(seed=0, rates={"sqlite_lock": 1.0})
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            backend.insert(_instance(0))
+    def test_lock_that_outlives_retries_raises(self, tmp_path) -> None:
+        path = tmp_path / "kb.db"
+        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=NO_RETRY)
+        other = _write_locker(path)
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                backend.insert(_instance(0))
+        finally:
+            other.close()
+        assert backend.lock_retries == 0
+        assert len(backend) == 0
         backend.close()
 
     def test_non_lock_operational_error_not_retried(self) -> None:
@@ -93,24 +123,26 @@ class TestBulkRollback:
         assert len(backend) == 2
         backend.close()
 
-    def test_mid_bulk_injected_lock_exhaustion_rolls_back(self) -> None:
+    def test_mid_bulk_injected_lock_exhaustion_rolls_back(
+        self, tmp_path
+    ) -> None:
         """Even the retry loop giving up inside a bulk leaves the
-        table at its pre-bulk state."""
-        backend = SQLiteBackend(
-            retry_policy=RetryPolicy(
-                max_retries=0, backoff_base=0.0, backoff_cap=0.0
-            ),
-        )
+        table at its pre-bulk state: a second connection's open read
+        transaction keeps the bulk's COMMIT from its exclusive lock."""
+        path = tmp_path / "kb.db"
+        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=NO_RETRY)
         backend.insert(_instance(0))
-        # arm the fault only for the statements inside the bulk
-        backend._fault_plan = FaultPlan(
-            seed=0, rates={"sqlite_lock": 1.0}, max_fires=1
-        )
-        with pytest.raises(sqlite3.OperationalError):
-            with backend.bulk():
-                backend.insert(_instance(1))
-        backend._fault_plan = None
+        reader = sqlite3.connect(path, isolation_level=None)
+        reader.execute("BEGIN")
+        reader.execute("SELECT COUNT(*) FROM instances").fetchone()
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                with backend.bulk():
+                    backend.insert(_instance(1))
+        finally:
+            reader.close()
         assert len(backend) == 1
+        assert backend.get("i1") is None
         assert not backend._conn.in_transaction
         backend.close()
 

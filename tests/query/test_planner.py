@@ -175,7 +175,8 @@ class TestPlanCache:
         assert changed, "stale cached plan served obsolete conversions"
 
     def test_lru_evicts_oldest(self, transport: Articulation) -> None:
-        planner = Planner(transport, cache_size=2)
+        planner = Planner(transport)
+        planner.cache_size = 2
         q1 = Query.over("transport:Vehicle", select=["price"])
         q2 = Query.over("transport:Vehicle", select=["model"])
         q3 = Query.over("transport:Vehicle", select=["owner"])

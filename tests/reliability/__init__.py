@@ -1,2 +1,2 @@
-"""Tests for the reliability layer: fault plans, the hardened parallel
-scheduler, the churn journal, and end-to-end chaos parity."""
+"""Tests for the reliability layer: the retry policy, the churn
+journal, and end-to-end chaos parity under real process kills."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, build_server, main
+from repro.errors import OnionError
 from repro.formats import adjacency
 from repro.kb.serialize import save_store
 from repro.workloads.loadgen import run_load
@@ -136,6 +137,39 @@ class TestBuildServer:
         server = build_server(args)
         assert server.service.health()["status"] == "empty"
         server.httpd.server_close()
+
+    def test_restart_with_workload_refuses_to_discard_the_journal(
+        self, tmp_path
+    ) -> None:
+        """Installing the workload over a recovered journal would
+        snapshot the recovered writes away; the restart refuses, and
+        the journal still serves them without a workload."""
+        journal = str(tmp_path / "serve.journal")
+        atom = ["implies", "crash:A", "transport:Vehicle"]
+        with_workload = ["serve", "--workload", "paper", "--port", "0"]
+        first = build_server(
+            build_parser().parse_args(with_workload + ["--journal", journal])
+        )
+        first.service.apply_facts([tuple(atom)], [])
+        first.httpd.server_close()
+
+        with pytest.raises(OnionError, match="fresh --journal"):
+            build_server(
+                build_parser().parse_args(
+                    with_workload + ["--journal", journal]
+                )
+            )
+        restarted = build_server(
+            build_parser().parse_args(
+                ["serve", "--port", "0", "--journal", journal]
+            )
+        )
+        try:
+            assert restarted.service.infer(
+                {"op": "pattern", "atom": atom}
+            )["holds"]
+        finally:
+            restarted.httpd.server_close()
 
 
 class TestLiveRoundTrip:

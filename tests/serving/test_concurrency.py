@@ -41,7 +41,8 @@ def _hammer(worker, threads: int = THREADS) -> list[BaseException]:
 
 class TestPlannerCache:
     def test_concurrent_plan_calls_share_one_cache(self) -> None:
-        planner = Planner(generate_transport_articulation(), cache_size=4)
+        planner = Planner(generate_transport_articulation())
+        planner.cache_size = 4
         queries = [
             Query.over("transport:Vehicle", select=[attr])
             for attr in ("price", "model", "owner")

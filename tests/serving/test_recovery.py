@@ -3,10 +3,8 @@ from the churn journal."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reliability import FaultInjected, FaultPlan
 from repro.serving import ArticulationService, load_paper_workload
+from tests.support.kill import KILL, run_killed
 
 ADDS = [
     ("implies", "crash:A", "crash:B"),
@@ -26,22 +24,38 @@ class TestJournalRecovery:
         self, tmp_path
     ) -> None:
         journal = str(tmp_path / "serve.journal")
+        late = [("implies", "crash:C", "crash:D")]
 
-        # Oracle: same workload, same writes, no faults, no journal.
+        # Oracle: same workload, same writes, no crash, no journal.
         oracle = ArticulationService()
         load_paper_workload(oracle)
         oracle.apply_facts(ADDS, [])
+        oracle.apply_facts(late, [])
 
-        # Service A journals everything, then dies mid-batch on the
-        # write that *follows* the durable ones.
-        crashed = ArticulationService(
-            journal_path=journal,
-            fault_plan=FaultPlan.scripted({"batch_crash": [1]}),
+        # Service A, in a child process, journals everything, then is
+        # SIGKILLed mid-batch on the write that *follows* the durable
+        # ones: its begin record is on disk, its engine never moved.
+        run_killed(
+            f"""
+from repro.reliability import ChurnJournal
+from repro.serving import ArticulationService, load_paper_workload
+
+service = ArticulationService(journal_path=sys.argv[1])
+load_paper_workload(service)
+service.apply_facts({ADDS!r}, [])
+begin = ChurnJournal.begin
+
+
+def begin_then_die(self, adds, retracts):
+    begin(self, adds, retracts)
+    {KILL}
+
+
+ChurnJournal.begin = begin_then_die
+service.apply_facts({late!r}, [])
+""",
+            journal,
         )
-        load_paper_workload(crashed)
-        crashed.apply_facts(ADDS, [])
-        with pytest.raises(FaultInjected):
-            crashed.apply_facts([("implies", "crash:C", "crash:D")], [])
 
         # Service B boots over the same journal with no installer.
         recovered = ArticulationService(journal_path=journal)
@@ -52,10 +66,14 @@ class TestJournalRecovery:
 
         # The durable batch (and the journaled-but-uncommitted one, which
         # recovery replays since it was logged before the crash) is back.
+        assert recovered.recovery["replayed_pending"] == 1
         probe = _closure_probe(recovered)
-        assert probe["crash:A"] == _closure_probe(oracle)["crash:A"]
+        assert probe == _closure_probe(oracle)
         assert "transport:Vehicle" in probe["crash:A"]
         assert "transport:Vehicle" in probe["crash:B"]
+        assert recovered.infer(
+            {"op": "pattern", "atom": ["implies", "crash:C", "crash:D"]}
+        )["holds"]
 
     def test_recovered_service_accepts_new_writes(self, tmp_path) -> None:
         journal = str(tmp_path / "serve.journal")

@@ -1,29 +1,36 @@
-"""Chaos campaigns: churn under seeded fault injection, oracle-checked.
+"""Chaos campaigns: churn with process crashes, oracle-checked.
 
 The maintenance experiments (paper §5.3, §6) assume the inference
-runtime survives its environment: the process can crash between
+runtime survives its environment: the process can die between
 journaling a churn batch and reaching its fixpoint.
 :func:`run_chaos_campaign` drives a deterministic batched churn
-workload through an engine configured with a
-:class:`~repro.reliability.faults.FaultPlan` and proves the robustness
-contract end to end: after every injected crash and journal recovery,
-the final fact set is **bit-for-bit equal** to a fault-free
-from-scratch oracle over the same surviving base facts.
+workload through a journaled engine, crashes it at the batch indexes
+in ``crash_at``, and proves the robustness contract end to end: after
+every crash and journal recovery, the final fact set is **bit-for-bit
+equal** to a crash-free from-scratch oracle over the same surviving
+base facts.
 
-Everything is seeded — the batches, the fault plan's per-site RNG
-streams — so a failing campaign replays exactly.
+A crash at batch ``i`` writes that batch's begin record with
+:meth:`ChurnJournal.begin`, then abandons the engine and recovers from
+a fresh :class:`ChurnJournal` on the same path — the on-disk state a
+process killed after the durable begin leaves behind.  ``on_crash``
+runs between the two; a child process passes one that SIGKILLs itself,
+and its parent finishes the campaign with ``resume_after``.
+
+Everything is seeded, so a failing campaign replays exactly.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 from repro.core.rules import HornClause
 from repro.inference.horn import Atom, HornEngine
-from repro.reliability import ChurnJournal, FaultInjected, FaultPlan
+from repro.reliability import ChurnJournal
 
 __all__ = [
     "CHAOS_CLAUSES",
@@ -97,14 +104,13 @@ class ChaosResult:
     facts: int
     oracle_facts: int
     elapsed_ms: float
-    fault_summary: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 def _oracle_facts(
     batch_list: list[tuple[list[Atom], list[Atom]]],
     clauses: tuple[HornClause, ...],
 ) -> set[Atom]:
-    """Fault-free ground truth: fold the diffs with plain set
+    """Crash-free ground truth: fold the diffs with plain set
     semantics (retract-then-add, matching ``apply_batch``) and
     saturate a fresh engine from scratch."""
     base: set[Atom] = set()
@@ -126,20 +132,18 @@ def run_chaos_campaign(
     batches: int = 8,
     ops_per_batch: int = 10,
     seed: int = 0,
-    fault_plan: FaultPlan | None = None,
+    crash_at: Collection[int] = (),
     clauses: tuple[HornClause, ...] = CHAOS_CLAUSES,
     snapshot_every: int = 4,
+    on_crash: Callable[[], None] | None = None,
+    resume_after: int | None = None,
 ) -> ChaosResult:
-    """Run a batched churn campaign under injected faults; verify the
-    final state against the fault-free oracle.
+    """Run a batched churn campaign that crashes at the batch indexes
+    in ``crash_at``; verify the final state against the oracle.
 
-    Each batch rides crash-safe :meth:`HornEngine.apply_batch`.  An
-    injected ``batch_crash`` surfaces as
-    :class:`~repro.reliability.faults.FaultInjected` after the diff is
-    journaled but before the engine mutates — the campaign then does
-    what a restarted process would: discards the engine and calls
-    :meth:`ChurnJournal.recover`, which replays the crashed batch as
-    durable history.
+    ``resume_after`` finishes a campaign whose process was killed at
+    that batch index instead: it recovers the journal the dead process
+    left and runs the later batches.
     """
     batch_list = chaos_batches(
         batches=batches, ops_per_batch=ops_per_batch, seed=seed
@@ -148,36 +152,40 @@ def run_chaos_campaign(
 
     started = perf_counter()
     journal = ChurnJournal(journal_path)
-    engine = HornEngine(fault_plan=fault_plan, journal=journal)
-    engine.add_clauses(clauses)
-    engine.saturate()
-    # the snapshot carries the program: recovery needs the clauses
-    journal.snapshot(engine)
-
-    result = ChaosResult(
-        parity=False,
-        batches=len(batch_list),
-        recoveries=0,
-        facts=0,
-        oracle_facts=len(oracle),
-        elapsed_ms=0.0,
-    )
-    for index, (adds, retracts) in enumerate(batch_list):
-        try:
-            engine.apply_batch(adds, retracts)
-        except FaultInjected:
+    recoveries = 0
+    if resume_after is not None:
+        engine, _report = journal.recover()
+        recoveries += 1
+    else:
+        engine = HornEngine(journal=journal)
+        engine.add_clauses(clauses)
+        engine.saturate()
+        # the snapshot carries the program: recovery needs the clauses
+        journal.snapshot(engine)
+    first = 0 if resume_after is None else resume_after + 1
+    for index in range(first, len(batch_list)):
+        adds, retracts = batch_list[index]
+        if index in crash_at:
             # the diff is durable, the engine state is not: recover
             # exactly as a restarted process would.  The crashed batch
             # is replayed by recovery — do not re-apply it.
-            result.recoveries += 1
-            engine, _report = journal.recover(fault_plan=fault_plan)
+            journal.begin(adds, retracts)
+            if on_crash is not None:
+                on_crash()
+            recoveries += 1
+            journal = ChurnJournal(journal_path)
+            engine, _report = journal.recover()
+        else:
+            engine.apply_batch(adds, retracts)
         if snapshot_every and (index + 1) % snapshot_every == 0:
             journal.snapshot(engine)
 
     final = engine.facts()
-    result.elapsed_ms = (perf_counter() - started) * 1000.0
-    result.facts = len(final)
-    result.parity = final == oracle
-    if fault_plan is not None:
-        result.fault_summary = fault_plan.summary()
-    return result
+    return ChaosResult(
+        parity=final == oracle,
+        batches=len(batch_list),
+        recoveries=recoveries,
+        facts=len(final),
+        oracle_facts=len(oracle),
+        elapsed_ms=(perf_counter() - started) * 1000.0,
+    )
