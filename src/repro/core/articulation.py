@@ -149,6 +149,12 @@ class Articulation:
     ``cache_stats`` counts the hits and misses tests and benchmarks
     assert on.  :meth:`is_generated` tells the maintainer whether the
     articulation is still exactly what the generator built.
+
+    An articulation built by the expert loop carries that loop's
+    saturated inference engine (:meth:`carry_engine`) until a service
+    takes it (:meth:`take_engine`) and serves it instead of saturating
+    a second one.  The engine is not part of the articulation's value:
+    ``==``, ``repr``, copies and pickles leave it out.
     """
 
     ontology: Ontology
@@ -170,6 +176,9 @@ class Articulation:
     _generated_stamp: tuple | None = field(
         default=None, repr=False, compare=False
     )
+    _engine: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -179,6 +188,30 @@ class Articulation:
         if name == "bridges" and not isinstance(value, BridgeSet):
             value = BridgeSet(value)
         super().__setattr__(name, value)
+
+    def __getstate__(self) -> dict:
+        # copy, deepcopy and pickle all read this: none carries the engine
+        state = dict(self.__dict__)
+        state["_engine"] = None
+        return state
+
+    # ------------------------------------------------------------------
+    # the expert loop's engine, handed to one service
+    # ------------------------------------------------------------------
+    def carry_engine(self, engine) -> None:
+        """Carry an inference engine saturated over this articulation."""
+        with _CACHE_LOCK:
+            self._engine = engine
+
+    def take_engine(self):
+        """Remove and return the carried engine (``None`` if none).
+
+        The swap holds the cache lock, so two services installing the
+        same articulation can never both get the engine.
+        """
+        with _CACHE_LOCK:
+            engine, self._engine = self._engine, None
+        return engine
 
     # ------------------------------------------------------------------
     # version stamping

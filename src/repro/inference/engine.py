@@ -30,8 +30,12 @@ dropped bridges or rules, a source shed edges), the stale facts are
 queued as retractions and the Horn engine's DRed overdelete/rederive
 pass repairs the saturated state in place — a rebuild happens only
 when the axiom set changed.
-``record_derivations=False`` trades :meth:`explain` support
-for a faster engine (the SKAT suggestion loop uses it).
+
+Every engine records derivations for ``explain``.  That is what lets
+one engine serve both ends of the §2.4 loop: the engine
+:func:`~repro.lexicon.skat.articulate_with_expert` saturates to
+suggest rules is the one
+:meth:`~repro.serving.service.ArticulationService.install` serves.
 """
 
 from __future__ import annotations
@@ -144,20 +148,18 @@ class OntologyInferenceEngine:
 
     The keyword arguments configure the
     :class:`~repro.inference.horn.HornEngine` this wrapper builds, and
-    every rebuild after an axiom change: derivation recording, the
-    fact store's backend, and the churn journal.
+    every rebuild after an axiom change: the fact store's backend and
+    the churn journal.
     """
 
     def __init__(
         self,
         *,
-        record_derivations: bool = True,
         storage: str = "memory",
         storage_path: str | None = None,
         buffer_facts: int | None = None,
         journal=None,
     ) -> None:
-        self.record_derivations = record_derivations
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
@@ -203,7 +205,6 @@ class OntologyInferenceEngine:
         path = None if self._storage_path_spent else self.storage_path
         self._storage_path_spent = True
         return HornEngine(
-            record_derivations=self.record_derivations,
             storage=self.storage,
             storage_path=path,
             buffer_facts=self.buffer_facts,
@@ -492,13 +493,10 @@ class OntologyInferenceEngine:
 
     @classmethod
     def from_articulation(
-        cls,
-        articulation: Articulation,
-        *,
-        record_derivations: bool = True,
+        cls, articulation: Articulation
     ) -> "OntologyInferenceEngine":
         """Load sources, articulation ontology, bridges and rules."""
-        engine = cls(record_derivations=record_derivations)
+        engine = cls()
         engine.refresh_from_articulation(articulation)
         return engine
 

@@ -24,7 +24,9 @@ records the pairs it examined in ``last_pairs`` and
 benchmarks.
 
 :func:`articulate_with_expert` is the full §2.4 loop: propose → expert
-review → generate → infer → propose again, to fixpoint.
+review → generate → infer → propose again, to fixpoint.  The engine
+that infers is saturated once and travels with the articulation to the
+service that serves it.
 """
 
 from __future__ import annotations
@@ -489,9 +491,15 @@ def articulate_with_expert(
     """The full §2.4 loop; returns the articulation and the audit trail.
 
     Each round: SKAT proposes (excluding rules already applied), the
-    expert reviews, accepted rules extend the articulation, and the
     inference engine derives further rule suggestions from the combined
-    knowledge.  Stops when a round applies nothing new.
+    knowledge, the expert reviews each distinct rule once (a rule both
+    suggest keeps its higher score), and accepted rules extend the
+    articulation.  Stops when a round applies nothing new.
+
+    The returned articulation carries the loop's saturated inference
+    engine (:meth:`~repro.core.articulation.Articulation.carry_engine`)
+    until a service installs it, so the application serves the engine
+    the loop already built instead of saturating a second one.
     """
     skat = skat if skat is not None else SkatEngine.default()
     generator = ArticulationGenerator([o1, o2], name=name)
@@ -505,28 +513,35 @@ def articulate_with_expert(
     # One inference engine lives across rounds: each round feeds only
     # the newly accepted rules' facts through incremental (delta)
     # saturation instead of rebuilding and re-saturating from scratch.
-    # Suggestions never need explain(), so derivation recording is off.
+    # The articulation carries it out of the loop for a service to
+    # adopt, so it records derivations just as a served engine does.
     engine: OntologyInferenceEngine | None = None
     for _ in range(max_rounds):
         candidates = skat.propose(o1, o2, exclude=list(articulation.rules))
         if use_inference and len(articulation.rules):
             if engine is None:
                 engine = OntologyInferenceEngine.from_articulation(
-                    articulation, record_derivations=False
+                    articulation
                 )
             else:
                 engine.refresh_from_articulation(articulation)
+            # one review per rule: a rule SKAT suggests too keeps the
+            # higher score, as in SkatEngine.propose
+            best = {candidate.key(): candidate for candidate in candidates}
             for derived in engine.derived_rules():
-                if derived not in articulation.rules:
-                    candidates.append(
-                        MatchCandidate(
-                            derived,
-                            0.7,
-                            "inference",
-                            "derived from accepted rules and source "
-                            "structure",
-                        )
-                    )
+                if derived in articulation.rules:
+                    continue
+                suggestion = MatchCandidate(
+                    derived,
+                    0.7,
+                    "inference",
+                    "derived from accepted rules and source structure",
+                )
+                key = suggestion.key()
+                current = best.get(key)
+                if current is None or suggestion.score > current.score:
+                    best[key] = suggestion
+            candidates = list(best.values())
         if not candidates:
             break
         reviewed = expert.review(candidates)
@@ -539,4 +554,6 @@ def articulate_with_expert(
         applied = generator.extend(articulation, accepted)
         if applied == 0:
             break
+    if engine is not None:
+        articulation.carry_engine(engine)
     return articulation, audit

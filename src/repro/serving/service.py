@@ -263,7 +263,15 @@ class ArticulationService:
         articulation: Articulation,
         stores: dict[str, object] | None = None,
     ) -> dict[str, object]:
-        """Install a ready-made articulation (plus instance stores)."""
+        """Install a ready-made articulation (plus instance stores).
+
+        An articulation from
+        :func:`~repro.lexicon.skat.articulate_with_expert` carries the
+        loop's saturated engine.  A memory-storage service without a
+        journal serves that engine, refreshed (``refresh.mode`` is
+        ``"noop"`` unless the articulation moved after the loop);
+        any other service drops it and builds its own.
+        """
         with self._rw.write():
             return self._install_locked(articulation, stores)
 
@@ -278,14 +286,26 @@ class ArticulationService:
         self._maintainer = ArticulationMaintainer(articulation)
         for source_name, ontology in articulation.sources.items():
             self._ontologies[source_name] = ontology
-        # an explicit storage_path belongs to journal recovery (the
-        # ingest handoff); a freshly installed articulation must start
-        # from an empty store, so its paged engine gets a temp file
-        self._inference = OntologyInferenceEngine(
-            storage=self.storage,
-            buffer_facts=self.buffer_facts,
-            journal=self.journal,
-        )
+        # the expert loop's engine is the one this service would build
+        # when both keep facts in memory and neither journals
+        engine = articulation.take_engine()
+        if (
+            engine is not None
+            and self.storage == engine.storage == "memory"
+            and self.journal is None
+            and engine.journal is None
+        ):
+            self._inference = engine
+        else:
+            # an explicit storage_path belongs to journal recovery (the
+            # ingest handoff); a freshly installed articulation must
+            # start from an empty store, so its paged engine gets a
+            # temp file
+            self._inference = OntologyInferenceEngine(
+                storage=self.storage,
+                buffer_facts=self.buffer_facts,
+                journal=self.journal,
+            )
         self._inference.refresh_from_articulation(articulation)
         self._recovered = None
         self._stores = dict(stores or {})

@@ -254,15 +254,6 @@ class TestIncrementalRefresh:
             term == "carrier:SUV" for term, _a, _b in engine.contradictions()
         )
 
-    def test_no_explain_mode_still_answers(
-        self, transport: Articulation
-    ) -> None:
-        engine = OntologyInferenceEngine.from_articulation(
-            transport, record_derivations=False
-        )
-        assert engine.implies("carrier:Car", "factory:Vehicle")
-        assert engine.derived_rules()
-
 
 class TestNoopRefresh:
     """The version-stamp fast path: refreshing an unchanged

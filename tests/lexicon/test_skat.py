@@ -23,6 +23,7 @@ from repro.lexicon.skat import (
     articulate_with_expert,
 )
 from repro.lexicon.wordnet import seed_lexicon
+from repro.workloads.generator import WorkloadConfig, generate_workload
 
 
 @pytest.fixture
@@ -278,6 +279,86 @@ class TestExpertLoop:
         )
         assert len(policy.extra_rules()) == 1
         assert policy.extra_rules() == []
+
+    def test_each_review_batch_holds_distinct_rules(self) -> None:
+        """A rule both SKAT and inference suggest is reviewed once."""
+        workload = generate_workload(
+            WorkloadConfig(
+                universe_size=180, terms_per_source=60, overlap=0.4, seed=1
+            )
+        )
+        truth = workload.truth_rules(0, 1)
+        batches: list[list[str]] = []
+
+        class RecordingPolicy(GroundTruthPolicy):
+            def review(self, candidates):
+                candidates = list(candidates)
+                batches.append([c.key() for c in candidates])
+                return super().review(candidates)
+
+        o1, o2 = workload.sources
+        articulation, audit = articulate_with_expert(
+            o1,
+            o2,
+            RecordingPolicy.from_rules(truth),
+            skat=SkatEngine.default(workload.lexicon(noise=0.2, seed=1)),
+            name="art",
+        )
+        assert len(batches) == 2  # the second holds inference suggestions
+        for keys in batches:
+            assert len(keys) == len(set(keys))
+        assert len(audit) == sum(len(keys) for keys in batches)
+        accepted = {str(rule) for rule in articulation.rules}
+        assert accepted <= {str(rule) for rule in truth}
+        assert len(accepted) == 40
+
+    def test_merged_suggestion_keeps_the_higher_score(
+        self, left: Ontology, right: Ontology
+    ) -> None:
+        """A rule SKAT and inference both suggest reaches the expert
+        once, at the higher of the two scores (inference scores 0.7)."""
+        from repro.core.rules import parse_rule
+        from repro.lexicon.expert import CallbackPolicy, MatchCandidate
+        from repro.lexicon.skat import Matcher
+
+        accept = "left:Car => right:Automobile"
+        low = "left:Car => right:Vehicle"  # inference derives it
+        high = "mid:Automobile => right:Vehicle"  # inference derives it
+
+        class FixedMatcher(Matcher):
+            name = "fixed"
+
+            def propose(self, o1, o2):
+                return [
+                    MatchCandidate(parse_rule(accept), 0.95, self.name),
+                    MatchCandidate(parse_rule(low), 0.3, self.name),
+                    MatchCandidate(parse_rule(high), 0.9, self.name),
+                ]
+
+        batches: list[dict[str, MatchCandidate]] = []
+
+        class RecordingPolicy(CallbackPolicy):
+            def review(self, candidates):
+                candidates = list(candidates)
+                batches.append({c.key(): c for c in candidates})
+                assert len(batches[-1]) == len(candidates)
+                return super().review(candidates)
+
+        articulate_with_expert(
+            left,
+            right,
+            RecordingPolicy(
+                lambda c: ExpertDecision.ACCEPT
+                if c.key() == accept
+                else ExpertDecision.REJECT
+            ),
+            skat=SkatEngine(matchers=[FixedMatcher()]),
+            name="mid",
+        )
+        assert len(batches) == 2
+        merged = batches[1]
+        assert (merged[low].score, merged[low].matcher) == (0.7, "inference")
+        assert (merged[high].score, merged[high].matcher) == (0.9, "fixed")
 
     def test_audit_records_rejections(
         self, left: Ontology, right: Ontology
