@@ -1,10 +1,9 @@
 """Experiment BACKENDS: the layered query path over pluggable storage.
 
 Measures (a) memory vs SQLite scan/query throughput on the workload
-generator's populations, (b) eager (materialize-per-stage) vs
-streaming execution via the executor's peak-rows instrumentation, and
-(c) plan-cache hit vs miss planning cost — the three wins the
-planner/executor/backend split was built for.
+generator's populations and (b) eager (materialize-per-stage) vs
+streaming execution via the executor's peak-rows instrumentation —
+the wins the planner/executor/backend split was built for.
 """
 
 from __future__ import annotations
@@ -136,34 +135,6 @@ def test_streaming_does_not_materialize_intermediates(
     assert by_label["LIMIT early-exit"][2] == 5
     # only ORDER BY pays the materialization
     assert by_label["ORDER BY (sort barrier)"][2] == rows_available
-
-
-@pytest.mark.parametrize("n_instances", [500])
-def test_plan_cache_hit_vs_miss(benchmark, table, n_instances) -> None:
-    """Plan-cache hits skip reformulation (class fan-out + conversion
-    path search) entirely."""
-    engine = make_engine(n_instances, InMemoryBackend)
-    question = "SELECT price FROM transport:Vehicle WHERE price < 3000"
-
-    t0 = time.perf_counter()
-    engine.plan(question)
-    t_miss = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    engine.plan(question)
-    t_hit = time.perf_counter() - t0
-
-    info = engine.plan_cache_info()
-    assert info.hits >= 1 and info.misses == 1
-    benchmark(lambda: engine.plan(question))
-    table(
-        "BACKENDS plan cache",
-        ["event", "time"],
-        [
-            ("miss (reformulate + build ops)", f"{1e6 * t_miss:.0f}us"),
-            ("hit (LRU lookup + fingerprint)", f"{1e6 * t_hit:.0f}us"),
-            ("hits", info.hits + 1),
-        ],
-    )
 
 
 @pytest.mark.parametrize("n_instances", [1000])

@@ -11,9 +11,9 @@ It measures the two batching layers of the Horn engine:
   retraction against a from-scratch rebuild on this machine, then
   validate that ``apply_batch`` routes a batch below the measured
   crossover through DRed and one at/above it through a rebuild, both
-  landing on the from-scratch oracle's fact set.  The engine's own
-  crossover is a constant; this sweep only records how this host
-  compares with it.
+  landing on the from-scratch oracle's fact set.  The engine derives
+  its own crossover from the base (a twentieth of the asserted
+  facts); this sweep only records how this host compares with it.
 
 Running this module writes ``BENCH_parallel.json`` next to it; the
 perf-trajectory gate tracks its ratio metrics.
@@ -121,7 +121,7 @@ def test_crossover(table) -> None:
     )
 
     def fresh(skip: frozenset[int] = frozenset()) -> HornEngine:
-        engine = HornEngine(record_derivations=False)
+        engine = HornEngine()
         engine.add_clause(trans)
         engine.add_facts(f for i, f in enumerate(trans_facts) if i not in skip)
         return engine
@@ -154,10 +154,10 @@ def test_crossover(table) -> None:
             calibrated = max(k, 2)
     if calibrated is None:
         calibrated = max(ks) + 1
-    engine_crossover = HornEngine().rebuild_crossover
+    engine_crossover = saturated().rebuild_crossover
 
     def oracle(victims: list[tuple]) -> set:
-        engine = HornEngine(record_derivations=False)
+        engine = HornEngine()
         engine.add_clause(trans)
         engine.add_facts(f for f in trans_facts if f not in victims)
         engine.saturate()
@@ -192,7 +192,7 @@ def test_crossover(table) -> None:
         ],
     )
     RESULTS["workloads"]["crossover"] = {
-        "seeded": engine_crossover,
+        "engine": engine_crossover,
         "calibrated": calibrated,
         "calibration": calibration,
         "below_decision": report_below["decision"],

@@ -383,9 +383,8 @@ class Articulation:
         ``N = N1 + N2 + NA`` and ``E = E1 + E2 + EA + BridgeEdges``.
 
         The built graph is cached against :meth:`fingerprint`, so
-        repeated algebra operators, query reformulation and match-index
-        construction share one instance (and one set of pattern
-        indexes) until something underneath actually changes.  Treat
+        repeated algebra operators and query reformulation share one
+        instance until something underneath actually changes.  Treat
         the result as read-only; a caller that mutates it bumps its
         version and the cache rebuilds on the next call.
         """
@@ -414,17 +413,6 @@ class Articulation:
                 self.cache_stats.get("unified_misses", 0) + 1
             )
             return graph
-
-    def match_index(self, config) -> "object":
-        """The cached pattern-match index over the unified graph.
-
-        Import-light convenience for rule application and the algebra:
-        the index lives on the cached unified graph, so it survives
-        across calls exactly as long as the graph does.
-        """
-        from repro.core.patterns import MatchIndex
-
-        return MatchIndex.for_graph(self.unified_graph(), config)
 
     def dangling_bridges(self) -> list[Edge]:
         """Bridges whose source-side endpoint no longer exists.

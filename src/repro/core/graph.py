@@ -33,8 +33,8 @@ from repro.errors import (
 
 __all__ = ["Edge", "LabeledGraph"]
 
-# Mutation-journal retention: indexes more than this many mutations
-# stale fall back to a full rebuild instead of a replay.
+# Mutation-journal retention: a reader more than this many mutations
+# stale falls back to a full rebuild instead of a replay.
 _JOURNAL_RETENTION = 256
 
 
@@ -96,8 +96,8 @@ class LabeledGraph:
         self._match_indexes: dict[tuple, object] = {}
         # Bounded mutation journal: one (version, op, ...) row per
         # structural change, newest _JOURNAL_RETENTION rows kept.
-        # MatchIndex replays the rows since its build version instead
-        # of rebuilding; journal_since() serves the span.
+        # The inference engine replays the rows since its last refresh
+        # into its edge facts; journal_since() serves the span.
         self._journal: deque[tuple] = deque(maxlen=_JOURNAL_RETENTION)
 
     @property
@@ -105,9 +105,10 @@ class LabeledGraph:
         """Monotonic mutation counter; bumped by every structural change.
 
         Caches built over a graph (pattern-match indexes, cached unified
-        graphs) record the version they were built at and refresh when
-        it moves — by replaying :meth:`journal_since` when the gap fits
-        the journal window, from scratch otherwise.
+        graphs, the inference engine's edge facts) record the version
+        they were built at and refresh when it moves: the edge facts by
+        replaying :meth:`journal_since` when the gap fits the journal
+        window, everything else from scratch.
         """
         return self._version
 

@@ -19,18 +19,16 @@ the paper binds ``O`` this way.
 The search resolves condition 1 through a :class:`MatchIndex` — a
 per-``(graph, MatchConfig)`` map from labels to candidate node sets
 with the case/synonym closure folded in at build time, cached on the
-graph and kept current under graph deltas by replaying the graph's
-bounded mutation journal in place (full rebuild only when the gap
-outruns the journal) — and compiles the pattern once per call
-(:func:`compile_pattern`): nodes ordered by selectivity, each edge
-check lowered to an O(1) set or pair lookup.  Candidates are
-enumerated in sorted order, so matches are reproducible run-to-run.
+graph and rebuilt once the graph's mutation version moves — and
+compiles the pattern once per call (:func:`compile_pattern`): nodes
+ordered by selectivity, each edge check lowered to an O(1) set or
+pair lookup.  Candidates are enumerated in sorted order, so matches
+are reproducible run-to-run.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -352,20 +350,15 @@ class MatchIndex:
     Edge checks use a lazily built ``(source, target) -> labels`` pair
     map, turning the relaxed-edge test into one dict probe.
 
-    Instances are cached on the graph (:meth:`for_graph`).  When the
-    graph's mutation version moves, the cached index first tries to
-    *replay* the graph's bounded mutation journal in place
-    (:meth:`refresh` — patching candidate tuples, the lowercase map,
-    the node list and the pair-label map, counted by
-    ``delta_refreshes``) and rebuilds from scratch only when the gap
-    exceeds the journal's retention window.
+    Instances are cached on the graph (:meth:`for_graph`) and rebuilt
+    when the graph's mutation version moves; every structure is built
+    lazily, so a rebuild costs nothing until a match reads it.
     """
 
     __slots__ = (
         "graph",
         "config",
         "version",
-        "delta_refreshes",
         "_by_lower",
         "_label_cache",
         "_all_nodes",
@@ -376,7 +369,6 @@ class MatchIndex:
         self.graph = graph
         self.config = config
         self.version = graph.version
-        self.delta_refreshes = 0
         self._by_lower: dict[str, set[str]] | None = None
         self._label_cache: dict[str, tuple[str, ...]] = {}
         self._all_nodes: tuple[str, ...] | None = None
@@ -386,11 +378,10 @@ class MatchIndex:
     # it, drop the oldest entries rather than grow without bound.
     _CACHE_LIMIT = 8
 
-    # One lock for every graph's index cache: for_graph both mutates
-    # the per-graph cache dict and replays mutation journals into
-    # cached entries in place, so concurrent serving threads must not
+    # One lock for every graph's index cache: for_graph mutates the
+    # per-graph cache dict, so concurrent serving threads must not
     # interleave.  Contention is negligible (the work inside is dict
-    # probes and bounded journal replay; full index builds are lazy).
+    # probes; index builds are lazy).
     _cache_lock = threading.Lock()
 
     @classmethod
@@ -399,16 +390,14 @@ class MatchIndex:
 
         Keyed by the config's *value* (:meth:`MatchConfig.cache_key`),
         so callers constructing a fresh equal config per call still
-        reuse the warm index.  Thread-safe: lookup, in-place journal
-        replay and eviction happen under one class-wide lock.
+        reuse the warm index.  Thread-safe: lookup, rebuild and
+        eviction happen under one class-wide lock.
         """
         with cls._cache_lock:
             cache = graph._match_indexes
             key = config.cache_key()
             entry = cache.get(key)
-            if entry is not None and (
-                entry.version == graph.version or entry.refresh()
-            ):
+            if entry is not None and entry.version == graph.version:
                 return entry
             if entry is None and len(cache) >= cls._CACHE_LIMIT:
                 # Evict the oldest entry (dict preserves insertion
@@ -421,109 +410,6 @@ class MatchIndex:
 
     def fresh(self) -> bool:
         return self.version == self.graph.version
-
-    # -- incremental maintenance ----------------------------------------
-    def refresh(self) -> bool:
-        """Catch up with the graph by replaying its mutation journal.
-
-        Returns False when the gap since this index's version has
-        fallen out of the journal's bounded window — the caller must
-        rebuild.  Otherwise every built structure is patched in place
-        (lazy ones not built yet stay lazy and resolve against the
-        current graph when first used), ``version`` catches up, and
-        ``delta_refreshes`` counts the replay.
-        """
-        rows = self.graph.journal_since(self.version)
-        if rows is None:
-            # Falling back to a rebuild ends this index's incremental
-            # streak: without the reset, a direct holder that rebuilds
-            # and keeps polling the counter over-reports replays that
-            # never happened.
-            self.delta_refreshes = 0
-            return False
-        if rows:
-            # A spill-backed label cache can only be patched where the
-            # replay can see it (the in-memory side); spilled entries
-            # would come back stale, so they are dropped wholesale.
-            invalidate = getattr(self._label_cache, "invalidate_spilled", None)
-            if invalidate is not None:
-                invalidate()
-        for row in rows:
-            op = row[1]
-            if op == "add_node":
-                self._replay_add_node(row[2], row[3])
-            elif op == "remove_node":
-                self._replay_remove_node(row[2], row[3])
-            elif op == "relabel_node":
-                self._replay_relabel(row[2], row[3], row[4])
-            elif op == "add_edge":
-                if self._pair_labels is not None:
-                    self._pair_labels.setdefault(
-                        (row[2], row[4]), set()
-                    ).add(row[3])
-            else:  # remove_edge
-                if self._pair_labels is not None:
-                    labels = self._pair_labels.get((row[2], row[4]))
-                    if labels is not None:
-                        labels.discard(row[3])
-        self.version = self.graph.version
-        if rows:
-            self.delta_refreshes += 1
-        return True
-
-    def enable_spill(self, capacity: int = 128, path: str | None = None):
-        """Bound the label→candidate memo, spilling overflow to disk.
-
-        Swaps ``_label_cache`` for a
-        :class:`~repro.kb.pagestore.LabelSpillCache`: the hottest
-        ``capacity`` pattern labels stay in memory, colder ones move
-        to a SQLite side table and are promoted back on access — the
-        out-of-core discipline of :class:`PagedFactStore`, applied to
-        the matcher.  Already-memoized entries are carried over.
-        Returns the spill cache (for stats and explicit ``close``).
-        """
-        from repro.kb.pagestore import LabelSpillCache
-
-        spill = LabelSpillCache(capacity, path)
-        for label, nodes in self._label_cache.items():
-            spill[label] = nodes
-        self._label_cache = spill
-        return spill
-
-    def _replay_add_node(self, node_id: str, label: str) -> None:
-        # Membership in a cached candidate tuple is exactly condition 1
-        # — node_labels_match folds the exact/case/synonym/equiv rules.
-        match = self.config.node_labels_match
-        for plabel, cached in self._label_cache.items():
-            if match(plabel, label):
-                self._label_cache[plabel] = _insert_sorted(cached, node_id)
-        if self._by_lower is not None:
-            self._by_lower.setdefault(label.lower(), set()).add(node_id)
-        if self._all_nodes is not None:
-            self._all_nodes = _insert_sorted(self._all_nodes, node_id)
-
-    def _replay_remove_node(self, node_id: str, label: str) -> None:
-        for plabel, cached in self._label_cache.items():
-            self._label_cache[plabel] = _remove_sorted(cached, node_id)
-        if self._by_lower is not None:
-            bucket = self._by_lower.get(label.lower())
-            if bucket is not None:
-                bucket.discard(node_id)
-        if self._all_nodes is not None:
-            self._all_nodes = _remove_sorted(self._all_nodes, node_id)
-
-    def _replay_relabel(self, node_id: str, old: str, new: str) -> None:
-        match = self.config.node_labels_match
-        for plabel, cached in self._label_cache.items():
-            if match(plabel, new):
-                self._label_cache[plabel] = _insert_sorted(cached, node_id)
-            else:
-                self._label_cache[plabel] = _remove_sorted(cached, node_id)
-        if self._by_lower is not None:
-            bucket = self._by_lower.get(old.lower())
-            if bucket is not None:
-                bucket.discard(node_id)
-            self._by_lower.setdefault(new.lower(), set()).add(node_id)
 
     # -- candidate resolution -------------------------------------------
     def all_nodes(self) -> tuple[str, ...]:
@@ -585,21 +471,6 @@ class MatchIndex:
 
 _NO_LABELS: set[str] = set()
 
-
-def _insert_sorted(items: tuple[str, ...], value: str) -> tuple[str, ...]:
-    """``items`` with ``value`` inserted in order (no-op if present)."""
-    at = bisect_left(items, value)
-    if at < len(items) and items[at] == value:
-        return items
-    return items[:at] + (value,) + items[at:]
-
-
-def _remove_sorted(items: tuple[str, ...], value: str) -> tuple[str, ...]:
-    """``items`` without ``value`` (no-op if absent)."""
-    at = bisect_left(items, value)
-    if at < len(items) and items[at] == value:
-        return items[:at] + items[at + 1:]
-    return items
 
 # The shared default config: every config-less find_matches call must
 # resolve to ONE object, or the identity-keyed index cache would miss

@@ -156,17 +156,11 @@ class OntologyInferenceEngine:
         self,
         *,
         storage: str = "memory",
-        storage_path: str | None = None,
         buffer_facts: int | None = None,
         journal=None,
     ) -> None:
         self.storage = storage
-        self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        # an explicit storage_path names the *first* engine's database
-        # (e.g. one produced by `onion ingest`); program rebuilds must
-        # start from an empty store, so they get private temp files
-        self._storage_path_spent = False
         # forwarded to every HornEngine this wrapper builds (including
         # rebuilds on program change): the journal makes every
         # apply_batch a refresh routes through crash-safe (the serving
@@ -202,11 +196,8 @@ class OntologyInferenceEngine:
         self.last_refresh: dict[str, object] = {}
 
     def _new_horn_engine(self) -> HornEngine:
-        path = None if self._storage_path_spent else self.storage_path
-        self._storage_path_spent = True
         return HornEngine(
             storage=self.storage,
-            storage_path=path,
             buffer_facts=self.buffer_facts,
             journal=self.journal,
         )

@@ -35,10 +35,10 @@ ideas:
 * **Batched churn with a rebuild crossover**
   (:meth:`HornEngine.apply_batch`): a whole shrink+grow batch queues
   first and pays *one* overdelete/rederive/propagate pass instead of
-  one per operation; when the batch's retraction count reaches
-  :data:`DEFAULT_REBUILD_CROSSOVER`, the DRed-vs-rebuild crossover
-  the retraction benchmark measured, the batch abandons the deletion
-  cone and replays from base instead.
+  one per operation; when the batch retracts a twentieth of the
+  asserted facts or more (:attr:`HornEngine.rebuild_crossover`, where
+  a rebuild measured faster on articulation programs), the batch
+  abandons the deletion cone and replays from base instead.
 * **Incremental retraction (DRed)**: :meth:`HornEngine.retract_fact` /
   :meth:`HornEngine.retract_clause` queue deletions; the next query
   *overdeletes* the downstream cone of the retracted facts using the
@@ -58,9 +58,9 @@ exactly once even when the same delta predicate occurs at several body
 positions (the transitive-closure clause).  Rounds are snapshots:
 facts derived in round ``r`` become joinable in round ``r + 1``.
 
-Derivations are recorded (optionally — disable for a faster
-no-``explain`` mode) so every inferred fact can be explained back to
-the expert; §2.4 requires the expert to vet what the system concluded.
+Derivations are always recorded, so every inferred fact can be
+explained back to the expert; §2.4 requires the expert to vet what the
+system concluded.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Atom",
     "CompiledClause",
-    "DEFAULT_REBUILD_CROSSOVER",
     "FactStore",
     "HornEngine",
     "compile_clause",
     "is_variable",
+    "query_store",
     "substitute",
     "unify_atom",
 ]
@@ -257,6 +257,35 @@ class FactStore:
         for atom in self.iter_facts():
             fresh.add(atom)
         return fresh
+
+
+def query_store(store: FactStore, pattern: Atom) -> list[dict[str, str]]:
+    """All bindings of a (possibly non-ground) atom against ``store``.
+
+    Ground argument positions probe the argument index; the most
+    selective bucket is scanned.  Works on any store that answers the
+    index contract, including a frozen snapshot nobody saturates.
+    """
+    predicate = pattern[0]
+    bound = [
+        (position, arg)
+        for position, arg in enumerate(pattern)
+        if position and not is_variable(arg)
+    ]
+    if bound:
+        position, value = min(
+            bound,
+            key=lambda pv: store.probe_size(predicate, pv[0], pv[1]),
+        )
+        pool: Iterable[Atom] = store.probe(predicate, position, value)
+    else:
+        pool = store.pool(predicate)
+    results: list[dict[str, str]] = []
+    for fact in pool:
+        binding = unify_atom(pattern, fact)
+        if binding is not None:
+            results.append(binding)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -540,12 +569,16 @@ def _stratify(compiled: list[CompiledClause]) -> list[list[CompiledClause]]:
 # ----------------------------------------------------------------------
 # the DRed-vs-rebuild crossover
 # ----------------------------------------------------------------------
-DEFAULT_REBUILD_CROSSOVER = 8
-"""Batch-retraction count at which :meth:`HornEngine.apply_batch`
-replays from base instead of running the DRed pass.  It comes from the
-``retract_vs_rebuild`` sweep in ``benchmarks/bench_retraction.py``
-(k = 1, 8, 40 retractions from an 80-node chain closure): 8 is the
-smallest k at which the full rebuild measured faster."""
+_REBUILD_SHARE = 20
+"""A batch retracting at least ``1 / _REBUILD_SHARE`` of the asserted
+facts replays from base instead of running the DRed pass.  Measured on
+articulation programs of 350 and 700 terms per source (1,573 and 3,201
+base facts; random base retractions, memory storage) the rebuild
+starts to win between 4% and 8% of the base, and on the 48-fact chain
+of ``benchmarks/bench_parallel.py`` at about 4%."""
+
+# rebuild_crossover's "not pinned" marker: the crossover follows the base
+_DERIVED = object()
 
 
 # ----------------------------------------------------------------------
@@ -568,10 +601,8 @@ def _new_stats(mode: str) -> dict[str, int | str]:
 class HornEngine:
     """Forward-chaining evaluation of Horn clauses over ground facts.
 
-    ``record_derivations=False`` skips provenance bookkeeping for a
-    faster engine whose :meth:`explain` raises.  ``store`` lets a
-    caller supply the :class:`FactStore`; absent that, ``storage``
-    picks who builds it — ``"memory"`` (dict-backed
+    ``store`` lets a caller supply the :class:`FactStore`; absent
+    that, ``storage`` picks who builds it — ``"memory"`` (dict-backed
     :class:`FactStore`) or ``"paged"`` (a disk-backed
     :class:`~repro.kb.pagestore.PagedFactStore` whose index buckets
     page through a buffer pool of at most ``buffer_facts`` facts,
@@ -583,8 +614,7 @@ class HornEngine:
     after another in topological order, in the calling process, each
     to its fixpoint by delta rounds.  :attr:`rebuild_crossover` is the
     batch-retraction count at which :meth:`apply_batch` switches from
-    the DRed pass to a full rebuild: :data:`DEFAULT_REBUILD_CROSSOVER`,
-    or ``None`` to always run DRed.
+    the DRed pass to a full rebuild.
 
     ``journal`` attaches a
     :class:`~repro.reliability.journal.ChurnJournal` that makes
@@ -595,7 +625,6 @@ class HornEngine:
     def __init__(
         self,
         *,
-        record_derivations: bool = True,
         store: FactStore | None = None,
         storage: str = "memory",
         storage_path: str | None = None,
@@ -604,11 +633,10 @@ class HornEngine:
     ) -> None:
         if storage not in ("memory", "paged"):
             raise InferenceError(f"unknown storage backend {storage!r}")
-        self.record_derivations = record_derivations
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
-        self.rebuild_crossover: int | None = DEFAULT_REBUILD_CROSSOVER
+        self._crossover_pin: object = _DERIVED
         self.journal = journal
         self._store = store if store is not None else self._new_store()
         self._clauses: list[HornClause] = []
@@ -631,6 +659,20 @@ class HornEngine:
         self._needs_rebuild = False
         self._strata: list[list[CompiledClause]] | None = None
         self.last_stats: dict[str, int | str] = _new_stats("idle")
+
+    @property
+    def rebuild_crossover(self) -> int | None:
+        """Batch-retraction count at which :meth:`apply_batch` replays
+        from base instead of running the DRed pass: one
+        ``_REBUILD_SHARE``-th of the asserted facts, rounded up.
+        Assigning an int pins it; ``None`` pins DRed for every batch."""
+        if self._crossover_pin is not _DERIVED:
+            return self._crossover_pin  # type: ignore[return-value]
+        return -(-len(self._base_facts) // _REBUILD_SHARE)
+
+    @rebuild_crossover.setter
+    def rebuild_crossover(self, value: int | None) -> None:
+        self._crossover_pin = value
 
     def _new_store(self) -> FactStore:
         """The constructor's store, honoring the engine's ``storage``
@@ -821,7 +863,7 @@ class HornEngine:
         plan: _JoinPlan,
         delta: Mapping[str, set[Atom]] | None,
         slots: list | None = None,
-    ) -> Iterator[tuple[Atom, tuple[Atom, ...] | None]]:
+    ) -> Iterator[tuple[Atom, tuple[Atom, ...]]]:
         """Yield ``(head, premises-in-body-order)`` for every join.
 
         ``slots`` pre-binds variables (the support probe passes the
@@ -833,25 +875,21 @@ class HornEngine:
         if slots is None:
             slots = [None] * cc.nslots
         premises: list = [None] * n_steps
-        record = self.record_derivations
         stats = self.last_stats
         head_pred = cc.head_pred
         head_parts = cc.head_parts
         body_order = plan.body_order
 
-        def recurse(i: int) -> Iterator[tuple[Atom, tuple[Atom, ...] | None]]:
+        def recurse(i: int) -> Iterator[tuple[Atom, tuple[Atom, ...]]]:
             if i == n_steps:
                 head = (head_pred,) + tuple(
                     slots[part] if part.__class__ is int else part
                     for part in head_parts
                 )
-                if record:
-                    ordered = [None] * n_steps
-                    for step_index in range(n_steps):
-                        ordered[body_order[step_index]] = premises[step_index]
-                    yield head, tuple(ordered)
-                else:
-                    yield head, None
+                ordered = [None] * n_steps
+                for step_index in range(n_steps):
+                    ordered[body_order[step_index]] = premises[step_index]
+                yield head, tuple(ordered)
                 return
             step = steps[i]
             arity = step.arity
@@ -903,9 +941,9 @@ class HornEngine:
         self,
         cc: CompiledClause,
         head: Atom,
-        premises: tuple[Atom, ...] | None,
+        premises: tuple[Atom, ...],
     ) -> None:
-        if self.record_derivations and head not in self._derivations:
+        if head not in self._derivations:
             self._derivations[head] = Derivation(cc.clause, premises)
 
     def _eval_stratum(
@@ -1041,8 +1079,7 @@ class HornEngine:
         compiled support plan (head variables pre-bound, so every step
         starts from an index probe) through the shared join runtime,
         stopping at the first match.  Returns the premises in body
-        order (``()`` when derivation recording is off); None means no
-        surviving proof.
+        order; None means no surviving proof.
         """
         if len(fact) != len(cc.clause.head):
             return None
@@ -1057,7 +1094,7 @@ class HornEngine:
             elif part != value:
                 return None
         for _, premises in self._run_plan(cc, cc.support_plan, None, slots):
-            return premises if premises is not None else ()
+            return premises
         return None
 
     def _retract_pending(self) -> None:
@@ -1293,6 +1330,8 @@ class HornEngine:
         adds = list(adds)
         retracts = list(retracts)
         require_ground(retracts + adds)
+        # measured against the base the batch starts from
+        crossover = self.rebuild_crossover
         journal = self.journal
         seq: int | None = None
         if journal is not None:
@@ -1302,7 +1341,6 @@ class HornEngine:
         queued = len(self._pending_retractions) + len(
             self._pending_clause_retractions
         )
-        crossover = self.rebuild_crossover
         if queued and crossover is not None and queued >= crossover:
             # saturate() will replay from base; the queues die with it.
             self._needs_rebuild = True
@@ -1353,33 +1391,10 @@ class HornEngine:
         return atom in self._store
 
     def query(self, pattern: Atom) -> list[dict[str, str]]:
-        """All bindings of a (possibly non-ground) atom.
-
-        Ground argument positions probe the argument index; the most
-        selective bucket is scanned.
-        """
+        """All bindings of a (possibly non-ground) atom
+        (:func:`query_store` over the saturated store)."""
         self._ensure_current()
-        predicate = pattern[0]
-        store = self._store
-        bound = [
-            (position, arg)
-            for position, arg in enumerate(pattern)
-            if position and not is_variable(arg)
-        ]
-        if bound:
-            position, value = min(
-                bound,
-                key=lambda pv: store.probe_size(predicate, pv[0], pv[1]),
-            )
-            pool: Iterable[Atom] = store.probe(predicate, position, value)
-        else:
-            pool = store.pool(predicate)
-        results: list[dict[str, str]] = []
-        for fact in pool:
-            binding = unify_atom(pattern, fact)
-            if binding is not None:
-                results.append(binding)
-        return results
+        return query_store(self._store, pattern)
 
     def facts(self, predicate: str | None = None) -> set[Atom]:
         """A fresh set of (all or one predicate's) derivable facts.
@@ -1422,13 +1437,8 @@ class HornEngine:
         """The base facts supporting ``atom`` (transitive premises).
 
         Base facts explain themselves as a singleton list.  Unknown
-        atoms raise :class:`InferenceError`, as does an engine built
-        with ``record_derivations=False``.
+        atoms raise :class:`InferenceError`.
         """
-        if not self.record_derivations:
-            raise InferenceError(
-                "derivation recording is disabled on this engine"
-            )
         self._ensure_current()
         if atom not in self._store:
             raise InferenceError(f"fact does not hold: {atom!r}")

@@ -20,14 +20,13 @@ from repro.kb.backends import (
 )
 from repro.kb.ingest import ingest_facts, iter_fact_file
 from repro.kb.instances import Instance, InstanceStore
-from repro.kb.pagestore import LabelSpillCache, PagedFactStore
+from repro.kb.pagestore import PagedFactStore
 
 __all__ = [
     "BACKENDS",
     "InMemoryBackend",
     "Instance",
     "InstanceStore",
-    "LabelSpillCache",
     "PagedFactStore",
     "SQLiteBackend",
     "StorageBackend",

@@ -41,11 +41,6 @@ into index-free staging tables with ``executemany`` batches inside one
 transaction, are deduped/upserted into the real tables on commit, and
 (on a cold store) the covering indexes are built *after* the load
 instead of being maintained row by row.
-
-:class:`LabelSpillCache` applies the same discipline to
-:class:`~repro.core.patterns.MatchIndex`: its label→candidate tuples
-overflow from a bounded in-memory LRU into a SQLite side table instead
-of growing without bound.
 """
 
 from __future__ import annotations
@@ -61,7 +56,6 @@ from pathlib import Path
 
 __all__ = [
     "DEFAULT_BUFFER_FACTS",
-    "LabelSpillCache",
     "PagedFactStore",
 ]
 
@@ -584,137 +578,3 @@ class PagedFactStore:
             f"buffer={self._buffered_facts}/{self.buffer_facts}>"
         )
 
-
-class LabelSpillCache:
-    """A bounded label→candidates map that spills evictions to SQLite.
-
-    Drop-in for :class:`~repro.core.patterns.MatchIndex`'s
-    ``_label_cache`` dict: supports ``get`` / ``__setitem__`` /
-    ``items`` (the only operations the index performs).  The in-memory
-    side is an LRU over at most ``capacity`` labels; evicted entries
-    move to a SQLite table and are promoted back on access, so a warm
-    label costs dict probes and a cold-but-spilled one costs one index
-    lookup instead of a full candidate recomputation.
-
-    ``items()`` walks only the in-memory entries — that is what the
-    index's journal replay patches in place — so a replay must call
-    :meth:`invalidate_spilled` to drop the disk side (whose tuples the
-    replay cannot see).  The owner's version discipline guarantees the
-    next access recomputes them against the current graph.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 128,
-        path: str | Path | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
-        self._owns_path = path is None
-        if path is None:
-            handle, tmp = tempfile.mkstemp(
-                prefix="onion-spill-", suffix=".sqlite"
-            )
-            os.close(handle)
-            path = tmp
-        self.path = str(path)
-        self._conn = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=False
-        )
-        if self.path != ":memory:":
-            self._conn.execute("PRAGMA journal_mode = WAL")
-        self._conn.execute("PRAGMA synchronous = OFF")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS spill ("
-            " label TEXT PRIMARY KEY, nodes TEXT NOT NULL)"
-        )
-        self._lock = threading.RLock()
-        self._hot: OrderedDict[str, tuple[str, ...]] = OrderedDict()
-        self.spills = 0
-        self.reloads = 0
-
-    def _spill_oldest(self) -> None:
-        label, nodes = self._hot.popitem(last=False)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO spill (label, nodes) VALUES (?, ?)",
-            (label, json.dumps(list(nodes))),
-        )
-        self.spills += 1
-
-    def get(self, label: str) -> tuple[str, ...] | None:
-        with self._lock:
-            cached = self._hot.get(label)
-            if cached is not None:
-                self._hot.move_to_end(label)
-                return cached
-            row = self._conn.execute(
-                "SELECT nodes FROM spill WHERE label = ?", (label,)
-            ).fetchone()
-            if row is None:
-                return None
-            nodes = tuple(json.loads(row[0]))
-            self._conn.execute(
-                "DELETE FROM spill WHERE label = ?", (label,)
-            )
-            self.reloads += 1
-            self[label] = nodes
-            return nodes
-
-    def __setitem__(self, label: str, nodes: tuple[str, ...]) -> None:
-        with self._lock:
-            if label in self._hot:
-                # plain replace, no reorder: journal replay assigns
-                # while iterating items()
-                self._hot[label] = nodes
-                return
-            while len(self._hot) >= self.capacity:
-                self._spill_oldest()
-            self._hot[label] = nodes
-
-    def items(self) -> list[tuple[str, tuple[str, ...]]]:
-        """The in-memory entries (what a journal replay can patch)."""
-        with self._lock:
-            return list(self._hot.items())
-
-    def invalidate_spilled(self) -> int:
-        """Drop the disk side (stale after a journal replay)."""
-        with self._lock:
-            cursor = self._conn.execute("DELETE FROM spill")
-            return cursor.rowcount
-
-    def __len__(self) -> int:
-        with self._lock:
-            (spilled,) = self._conn.execute(
-                "SELECT COUNT(*) FROM spill"
-            ).fetchone()
-            return len(self._hot) + spilled
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            (spilled,) = self._conn.execute(
-                "SELECT COUNT(*) FROM spill"
-            ).fetchone()
-            return {
-                "hot": len(self._hot),
-                "spilled": spilled,
-                "capacity": self.capacity,
-                "spills": self.spills,
-                "reloads": self.reloads,
-            }
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-            if self._owns_path:
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(self.path + suffix)
-                    except OSError:
-                        pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing varies
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -490,9 +490,11 @@ def articulate_with_expert(
 ) -> tuple[Articulation, list[ReviewedCandidate]]:
     """The full §2.4 loop; returns the articulation and the audit trail.
 
-    Each round: SKAT proposes (excluding rules already applied), the
-    inference engine derives further rule suggestions from the combined
-    knowledge, the expert reviews each distinct rule once (a rule both
+    SKAT proposes once, before the first round: neither source changes
+    inside the loop, so asking again would only repeat its answer.
+    Each round: the inference engine derives further rule suggestions
+    from the combined knowledge, the expert reviews each rule no one
+    has reviewed or applied yet, once (a rule both SKAT and inference
     suggest keeps its higher score), and accepted rules extend the
     articulation.  Stops when a round applies nothing new.
 
@@ -509,6 +511,15 @@ def articulate_with_expert(
     volunteered = ArticulationRuleSet()
     volunteered.extend(expert.extra_rules())
     generator.extend(articulation, volunteered)
+    proposed = skat.propose(o1, o2, exclude=list(articulation.rules))
+    # rule texts the expert has already ruled on, in any round
+    reviewed_keys: set[str] = set()
+
+    def fresh(candidate: MatchCandidate) -> bool:
+        return (
+            candidate.key() not in reviewed_keys
+            and candidate.rule not in articulation.rules
+        )
 
     # One inference engine lives across rounds: each round feeds only
     # the newly accepted rules' facts through incremental (delta)
@@ -517,7 +528,7 @@ def articulate_with_expert(
     # adopt, so it records derivations just as a served engine does.
     engine: OntologyInferenceEngine | None = None
     for _ in range(max_rounds):
-        candidates = skat.propose(o1, o2, exclude=list(articulation.rules))
+        candidates = [c for c in proposed if fresh(c)]
         if use_inference and len(articulation.rules):
             if engine is None:
                 engine = OntologyInferenceEngine.from_articulation(
@@ -529,14 +540,14 @@ def articulate_with_expert(
             # higher score, as in SkatEngine.propose
             best = {candidate.key(): candidate for candidate in candidates}
             for derived in engine.derived_rules():
-                if derived in articulation.rules:
-                    continue
                 suggestion = MatchCandidate(
                     derived,
                     0.7,
                     "inference",
                     "derived from accepted rules and source structure",
                 )
+                if not fresh(suggestion):
+                    continue
                 key = suggestion.key()
                 current = best.get(key)
                 if current is None or suggestion.score > current.score:
@@ -546,6 +557,7 @@ def articulate_with_expert(
             break
         reviewed = expert.review(candidates)
         audit.extend(reviewed)
+        reviewed_keys.update(review.candidate.key() for review in reviewed)
         accepted = ArticulationRuleSet()
         for review in reviewed:
             rule = review.accepted_rule()

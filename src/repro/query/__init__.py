@@ -3,7 +3,7 @@ planner, streaming executor, wrappers and answering-using-views
 (paper §2.3).
 
 The query path is layered: ``parse -> reformulate (logical) -> plan
-(physical, cached) -> execute (streaming)``, with storage backends
+(physical) -> execute (streaming)``, with storage backends
 (:mod:`repro.kb.backends`) answering the scans at the bottom.
 """
 
@@ -29,11 +29,9 @@ from repro.query.planner import (
     FinalizeOp,
     MergeOp,
     PhysicalPlan,
-    PlanCacheInfo,
     Planner,
     ScanOp,
     SourcePipeline,
-    articulation_fingerprint,
 )
 from repro.query.pushdown import (
     push_condition,
@@ -65,7 +63,6 @@ __all__ = [
     "MediatorSpec",
     "MergeOp",
     "PhysicalPlan",
-    "PlanCacheInfo",
     "Planner",
     "Query",
     "QueryEngine",
@@ -76,7 +73,6 @@ __all__ = [
     "SourceWrapper",
     "StreamingExecutor",
     "ViewCatalog",
-    "articulation_fingerprint",
     "as_wrapper",
     "finalize_rows",
     "generate_mediator",

@@ -3,7 +3,7 @@
 :class:`QueryEngine` is now a thin coordinator over three layers:
 
 * the **planner** (:mod:`repro.query.planner`) reformulates a query
-  over the articulation into an explicit, cached
+  over the articulation into an explicit
   :class:`~repro.query.planner.PhysicalPlan`;
 * the **executor** (:mod:`repro.query.executor`) evaluates plans as
   streaming iterator pipelines;
@@ -32,7 +32,7 @@ from repro.query.executor import (
     project_rows,
 )
 from repro.query.parser import parse_query
-from repro.query.planner import PhysicalPlan, PlanCacheInfo, Planner
+from repro.query.planner import PhysicalPlan, Planner
 from repro.query.wrappers import SourceWrapper, as_wrapper
 
 __all__ = [
@@ -81,9 +81,6 @@ class QueryEngine:
         return self.planner.plan(
             query, available=frozenset(self.wrappers)
         )
-
-    def plan_cache_info(self) -> PlanCacheInfo:
-        return self.planner.cache_info()
 
     # ------------------------------------------------------------------
     # execution

@@ -135,7 +135,7 @@ def generate_mediator(articulation: Articulation) -> MediatorSpec:
             sorted(articulation.ontology.superclasses(term))
         )
         # Every term is a distinct one-shot query, so this calls the
-        # logical layer directly — a plan cache could never hit here.
+        # logical layer directly.
         try:
             plans = reformulate(
                 Query.over(qualify(articulation.name, term)), unified

@@ -14,21 +14,17 @@ The query path is layered (EMBANKS-style plan/execute split):
 3. :mod:`repro.query.executor` evaluates the plan as iterator
    pipelines.
 
-Plans are cached in an LRU keyed on the query text plus the
-articulation's O(1) change stamp (:meth:`Articulation.fingerprint`,
-which moves with the bridges, conversion functions and every graph)
-and the identity of its conversion rules, so repeated queries skip
-reformulation entirely while any articulation or ontology edit — the
-maintenance-under-churn scenario — invalidates stale entries
-automatically.
+Plans are built on every call: the serving tier's result cache
+(:mod:`repro.serving.cache`) memoizes whole answers in front of the
+planner, and a plan costs about as much as executing it, so the
+planner keeps no cache of its own and can never serve a plan older
+than the articulation it reads.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass
 
 from repro.core.articulation import Articulation
 from repro.core.unified import UnifiedOntology
@@ -45,9 +41,7 @@ __all__ = [
     "FinalizeOp",
     "SourcePipeline",
     "PhysicalPlan",
-    "PlanCacheInfo",
     "Planner",
-    "articulation_fingerprint",
 ]
 
 
@@ -191,59 +185,10 @@ class PhysicalPlan:
 
 
 # ----------------------------------------------------------------------
-# articulation fingerprinting (plan-cache invalidation)
-# ----------------------------------------------------------------------
-def articulation_fingerprint(articulation: Articulation) -> tuple:
-    """A value that changes whenever replanning could change.
-
-    :meth:`Articulation.fingerprint` already moves with every input
-    reformulation reads — bridge edges, registered conversion
-    functions, the articulation's own graph and every source graph —
-    at O(#sources + #functions) cost, so a plan-cache hit never walks
-    the bridges or graphs.  Source edits move it too, as they must:
-    reformulation reads source subclass edges."""
-    return (
-        articulation.name,
-        articulation.fingerprint(),
-        # Rule *identity*, not just labels: re-registering a rule under
-        # the same label (a rate update, the churn scenario) must
-        # invalidate cached plans.  expr_text pins textual rules; id()
-        # covers opaque callables — sound only because the cache pins
-        # the fingerprinted rule objects alive (see plan()), so a freed
-        # id can never be reused while a key derived from it is still
-        # in the cache.
-        frozenset(
-            (
-                label,
-                rule.expr_text,
-                rule.inverse_expr_text,
-                None if rule.expr_text is not None else id(rule.fn),
-                None
-                if rule.inverse_expr_text is not None
-                else id(rule.inverse),
-            )
-            for label, rule in articulation.functions.items()
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
 # the planner
 # ----------------------------------------------------------------------
-#: cached physical plans per planner (LRU beyond this)
-PLAN_CACHE_SIZE = 128
-
-
-@dataclass(frozen=True)
-class PlanCacheInfo:
-    hits: int
-    misses: int
-    size: int
-    maxsize: int
-
-
 class Planner:
-    """Turns parsed queries into cached physical plans.
+    """Turns parsed queries into physical plans.
 
     ``pushdown`` controls whether WHERE predicates are translated into
     each source's metric and attached to the scan ops; projections are
@@ -260,75 +205,16 @@ class Planner:
             unified = UnifiedOntology(unified)
         self.unified = unified
         self.pushdown = pushdown
-        self.cache_size = PLAN_CACHE_SIZE
-        # key -> (plan, pinned rule objects).  The lock covers every
-        # dict operation: the serving tier plans from concurrent
-        # request threads, and OrderedDict.move_to_end mid-resize is
-        # not atomic.  Building a plan happens OUTSIDE the lock — a
-        # concurrent double-build of the same key is idempotent, a
-        # serialized build would convoy every reader behind it.
-        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
-    # -- cache plumbing -------------------------------------------------
-    def cache_info(self) -> PlanCacheInfo:
-        with self._cache_lock:
-            return PlanCacheInfo(
-                self._hits, self._misses, len(self._cache), self.cache_size
-            )
-
-    def cache_clear(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
-
-    def _cache_key(
-        self, query: Query, available: frozenset[str] | None
-    ) -> tuple:
-        return (
-            str(query),
-            query.include_subclasses,
-            self.pushdown,
-            available,
-            articulation_fingerprint(self.unified.articulation),
-        )
-
-    # -- planning -------------------------------------------------------
     def plan(
         self,
         query: Query,
         *,
-        available: Iterable[str] | None = None,
+        available: Collection[str] | None = None,
     ) -> PhysicalPlan:
         """Plan ``query``; ``available`` restricts to the sources that
         actually have a registered knowledge base (None = plan for
         every bridged source, the mediator-spec use case)."""
-        key_available = (
-            None if available is None else frozenset(available)
-        )
-        key = self._cache_key(query, key_available)
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                return cached[0]
-            self._misses += 1
-        plan = self._build(query, key_available)
-        # Pin the rule objects the key fingerprinted (by id) for the
-        # entry's lifetime: a replaced rule then cannot be allocated at
-        # a freed rule's address, so its key can never collide.
-        pins = tuple(self.unified.articulation.functions.values())
-        with self._cache_lock:
-            self._cache[key] = (plan, pins)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return plan
-
-    def _build(
-        self, query: Query, available: frozenset[str] | None
-    ) -> PhysicalPlan:
         source_plans = reformulate(query, self.unified)
         if available is not None:
             executable = [

@@ -17,7 +17,7 @@ concurrent network service:
 from repro.serving.cache import QueryResultCache
 from repro.serving.server import ArticulationServer
 from repro.serving.service import ArticulationService, load_paper_workload
-from repro.serving.session import Session, SessionManager, snapshot_query
+from repro.serving.session import Session, SessionManager
 
 __all__ = [
     "ArticulationServer",
@@ -26,5 +26,4 @@ __all__ = [
     "Session",
     "SessionManager",
     "load_paper_workload",
-    "snapshot_query",
 ]

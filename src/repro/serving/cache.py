@@ -1,8 +1,8 @@
 """The server-wide query-result cache.
 
-Sits *in front of* the planner's LRU plan cache: a hit returns the
-finished result rows without planning, reformulating, or scanning any
-backend at all.  Entries are keyed on
+Sits *in front of* the planner, and is the read path's only cache: a
+hit returns the finished result rows without planning, reformulating,
+or scanning any backend at all.  Entries are keyed on
 
 ``(kind, request text, articulation fingerprint, engine version)``
 
@@ -11,8 +11,7 @@ so invalidation is structural rather than imperative:
 * the **articulation fingerprint**
   (:meth:`~repro.core.articulation.Articulation.fingerprint`) moves
   whenever a bridge, conversion function, rule, or source graph
-  changes — exactly the plan-cache invalidation contract, reused as
-  the HTTP cache key;
+  changes — everything reformulation reads;
 * the **engine version** is the serving tier's publication counter,
   bumped by every write the
   :class:`~repro.serving.service.ArticulationService` publishes

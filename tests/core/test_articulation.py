@@ -471,19 +471,6 @@ class TestVersionStampCaching:
         assert transport.cache_stats.get("unified_misses", 0) == 1
         assert transport.cache_stats.get("unified_hits", 0) >= 2
 
-    def test_match_index_rides_cached_unified_graph(
-        self, transport: Articulation
-    ) -> None:
-        from repro.core.patterns import MatchConfig
-
-        config = MatchConfig(case_insensitive=True)
-        index1 = transport.match_index(config)
-        index2 = transport.match_index(config)
-        assert index2 is index1
-        transport.sources["carrier"].ensure_term("Gyrocopter")
-        index3 = transport.match_index(config)
-        assert index3 is not index1
-
     def test_equal_count_bridge_swap_invalidates_cache(
         self, transport: Articulation
     ) -> None:

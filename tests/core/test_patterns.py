@@ -295,9 +295,7 @@ class TestMatchIndexCaching:
         index2 = MatchIndex.for_graph(graph, config)
         assert index2 is index1
 
-    def test_index_refreshed_in_place_after_mutation(
-        self, graph: LabeledGraph
-    ) -> None:
+    def test_index_rebuilt_after_mutation(self, graph: LabeledGraph) -> None:
         from repro.core.patterns import MatchIndex
 
         config = MatchConfig(case_insensitive=True)
@@ -305,10 +303,10 @@ class TestMatchIndexCaching:
         assert "Car" in index1.candidates("car")
         graph.add_node("CAR2", "CAR")
         index2 = MatchIndex.for_graph(graph, config)
-        assert index2 is index1  # journal replay, not a rebuild
+        assert index2 is not index1  # the graph moved: a fresh build
         assert index2.fresh()
-        assert index2.delta_refreshes == 1
         assert "CAR2" in index2.candidates("car")
+        assert MatchIndex.for_graph(graph, config) is index2
 
     def test_distinct_configs_get_distinct_indexes(
         self, graph: LabeledGraph
@@ -365,13 +363,13 @@ class TestMatchIndexCaching:
 
 
 class TestIncrementalIndexMaintenance:
-    """MatchIndex journal replay: deltas patch the index in place."""
+    """MatchIndex under graph deltas: a moved graph gets a fresh index."""
 
     def _config(self) -> MatchConfig:
         synonyms = MatchConfig.with_synonyms([("Car", "Auto")]).synonyms
         return MatchConfig(synonyms=synonyms, case_insensitive=True)
 
-    def test_replay_matches_scratch_build_over_mixed_deltas(self) -> None:
+    def test_deltas_match_fresh_build_and_scan(self) -> None:
         from repro.core.patterns import MatchIndex
 
         g = LabeledGraph()
@@ -380,7 +378,7 @@ class TestIncrementalIndexMaintenance:
         g.add_edge("Car", "uses", "Truck")
         config = self._config()
         index = MatchIndex.for_graph(g, config)
-        # Warm every lazy structure so the replay has to patch them all.
+        # Warm every lazy structure, so a stale one would show.
         index.candidates("Car")
         index.all_nodes()
         index.pair_labels("Car", "Truck")
@@ -391,15 +389,29 @@ class TestIncrementalIndexMaintenance:
         g.remove_node("Truck")            # leaves (and sheds its edge)
         g.add_edge("Car", "tows", "Plane")
 
-        refreshed = MatchIndex.for_graph(g, config)
-        assert refreshed is index
-        assert refreshed.fresh()
-        assert refreshed.delta_refreshes == 1
+        current = MatchIndex.for_graph(g, config)
+        assert current.fresh()
         scratch = MatchIndex(g, config)
-        assert refreshed.candidates("Car") == scratch.candidates("Car")
-        assert refreshed.all_nodes() == scratch.all_nodes()
-        assert refreshed.pair_labels("Car", "Plane") == {"tows"}
-        assert not refreshed.pair_labels("Car", "Truck")
+        assert current.candidates("Car") == scratch.candidates("Car")
+        assert "auto2" in current.candidates("Car")
+        assert "Bus" in current.candidates("Car")
+        assert current.all_nodes() == scratch.all_nodes()
+        assert current.pair_labels("Car", "Plane") == {"tows"}
+        assert not current.pair_labels("Car", "Truck")
+        for pattern in (
+            Pattern.single("car"),
+            Pattern.path(["Car", "Plane"]),
+            Pattern.path(["Car", "Truck"], edge_label="uses"),
+        ):
+            indexed = [b.mapping for b in find_matches(pattern, g, config)]
+            scanned = [
+                b.mapping for b in find_matches_scan(pattern, g, config)
+            ]
+            assert indexed == scanned
+        assert [
+            b.mapping
+            for b in find_matches(Pattern.path(["Car", "Plane"]), g, config)
+        ] == [{"n0": "Car", "n1": "Plane"}]
 
     def test_strategies_agree_after_delta_refresh(self) -> None:
         g = LabeledGraph()
@@ -418,47 +430,6 @@ class TestIncrementalIndexMaintenance:
         assert indexed == scanned
         assert {"n0": "Auto1", "n1": "Truck"} in indexed
 
-    def test_journal_overflow_falls_back_to_rebuild(self) -> None:
-        from repro.core.graph import _JOURNAL_RETENTION
-        from repro.core.patterns import MatchIndex
-
-        g = LabeledGraph()
-        g.add_node("Car")
-        config = self._config()
-        index = MatchIndex.for_graph(g, config)
-        index.candidates("Car")
-        version = g.version
-        for i in range(_JOURNAL_RETENTION + 10):
-            g.add_node(f"bulk{i}", "Bulk")
-        assert g.journal_since(version) is None
-        rebuilt = MatchIndex.for_graph(g, config)
-        assert rebuilt is not index
-        assert rebuilt.delta_refreshes == 0
-        assert rebuilt.candidates("Bulk") == MatchIndex(g, config).candidates(
-            "Bulk"
-        )
-
-    def test_overflow_resets_delta_refresh_accounting(self) -> None:
-        """Regression: refresh() returning False (journal overflow)
-        must zero ``delta_refreshes`` — a direct index holder that
-        polls the counter across an overflow must not see replay
-        credit earned before the gap, or it over-reports incremental
-        refreshes that the forced rebuild just threw away."""
-        from repro.core.graph import _JOURNAL_RETENTION
-        from repro.core.patterns import MatchIndex
-
-        g = LabeledGraph()
-        g.add_node("Car")
-        config = self._config()
-        index = MatchIndex.for_graph(g, config)
-        g.add_node("Auto1", "Auto")
-        assert index.refresh() is True
-        assert index.delta_refreshes == 1
-        for i in range(_JOURNAL_RETENTION + 10):
-            g.add_node(f"bulk{i}", "Bulk")
-        assert index.refresh() is False  # overflow: caller must rebuild
-        assert index.delta_refreshes == 0
-
     def test_journal_since_semantics(self) -> None:
         g = LabeledGraph()
         g.add_node("A")
@@ -469,66 +440,3 @@ class TestIncrementalIndexMaintenance:
         rows = g.journal_since(v)
         assert [row[1] for row in rows] == ["add_node", "add_edge"]
         assert rows[-1][0] == g.version
-
-
-class TestLabelCacheSpill:
-    """MatchIndex.enable_spill: label→candidate maps page to disk."""
-
-    def _big_graph(self) -> LabeledGraph:
-        g = LabeledGraph()
-        for i in range(40):
-            g.add_node(f"n{i}", f"Label{i}")
-        return g
-
-    def test_spilled_candidates_match_unbounded_cache(self) -> None:
-        from repro.core.patterns import MatchIndex
-
-        g = self._big_graph()
-        config = MatchConfig(case_insensitive=True)
-        index = MatchIndex(g, config)
-        spill = index.enable_spill(capacity=4)
-        try:
-            labels = [f"label{i}" for i in range(40)]
-            first = {label: index.candidates(label) for label in labels}
-            assert spill.stats()["spilled"] > 0  # the cap actually bit
-            # revisiting promotes from disk and answers identically
-            oracle = MatchIndex(g, config)
-            for label in labels:
-                assert index.candidates(label) == first[label]
-                assert first[label] == oracle.candidates(label)
-            assert spill.stats()["reloads"] > 0
-        finally:
-            spill.close()
-
-    def test_refresh_drops_spilled_entries(self) -> None:
-        from repro.core.patterns import MatchIndex
-
-        g = self._big_graph()
-        config = MatchConfig(case_insensitive=True)
-        index = MatchIndex.for_graph(g, config)
-        spill = index.enable_spill(capacity=2)
-        try:
-            for i in range(8):
-                index.candidates(f"label{i}")  # spills the early ones
-            g.add_node("extra", "Label0")
-            assert index.refresh() is True
-            # the spilled Label0 tuple predates the mutation; replay
-            # could not patch it, so refresh must have dropped it
-            assert "extra" in index.candidates("label0")
-            assert index.candidates("label0") == MatchIndex(
-                g, config
-            ).candidates("label0")
-        finally:
-            spill.close()
-
-    def test_memoized_entries_carry_over(self) -> None:
-        from repro.core.patterns import MatchIndex
-
-        g = self._big_graph()
-        index = MatchIndex(g, MatchConfig(case_insensitive=True))
-        warm = index.candidates("label7")
-        spill = index.enable_spill(capacity=8)
-        try:
-            assert index.candidates("label7") == warm
-        finally:
-            spill.close()

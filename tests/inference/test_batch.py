@@ -9,14 +9,16 @@ rebuild crossover the batch falls on.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 
+from repro.core.articulation import ArticulationGenerator
 from repro.core.rules import HornClause
-from repro.inference.horn import (
-    DEFAULT_REBUILD_CROSSOVER,
-    Atom,
-    HornEngine,
-)
+from repro.inference.engine import OntologyInferenceEngine
+from repro.inference.horn import Atom, HornEngine
+from repro.workloads.generator import WorkloadConfig, generate_workload
 from tests.support.churn_scripts import (
     CLAUSE_POOL,
     churn_scripts,
@@ -111,8 +113,15 @@ class TestBatchDecisions:
         engine.saturate()
         return engine
 
-    def test_default_crossover_is_the_module_constant(self) -> None:
-        assert HornEngine().rebuild_crossover == DEFAULT_REBUILD_CROSSOVER
+    def test_default_crossover_follows_the_base(self) -> None:
+        """A twentieth of the asserted facts, rounded up, until a
+        caller pins it."""
+        engine = HornEngine()
+        assert engine.rebuild_crossover == 0
+        engine.add_facts(("S", f"n{i}", f"n{i + 1}") for i in range(41))
+        assert engine.rebuild_crossover == 3
+        engine.rebuild_crossover = None
+        assert engine.rebuild_crossover is None
 
     def test_empty_batch_is_a_noop(self) -> None:
         engine = self._saturated()
@@ -187,3 +196,51 @@ class TestBatchDecisions:
         assert "mode" not in report
         assert engine.saturate() > 0  # the deferred delta pass
         assert engine.holds(("S", "n0", "n13"))
+
+
+class TestCrossoverOnArticulationProgram:
+    """On a 350-term-per-source articulation program (about 1,570 base
+    facts), a handful of retractions rides DRed and a twentieth of the
+    base rebuilds; both end on the from-scratch oracle."""
+
+    @pytest.fixture(scope="class")
+    def program(self) -> tuple[tuple[HornClause, ...], list[Atom]]:
+        workload = generate_workload(
+            WorkloadConfig(
+                universe_size=1050,
+                n_sources=2,
+                terms_per_source=350,
+                overlap=0.4,
+                seed=7,
+            )
+        )
+        articulation = ArticulationGenerator(
+            workload.sources, name="art"
+        ).generate(workload.truth_rules(0, 1))
+        horn = OntologyInferenceEngine.from_articulation(articulation).engine
+        return horn.clauses(), sorted(horn.base_facts())
+
+    @staticmethod
+    def _saturated(clauses, facts) -> HornEngine:
+        engine = HornEngine()
+        engine.add_clauses(clauses)
+        engine.add_facts(facts)
+        engine.saturate()
+        return engine
+
+    @pytest.mark.parametrize(
+        "share, decision", [("eight", "dred"), ("twentieth", "rebuild")]
+    )
+    def test_batch_routes_by_share_of_base(
+        self, program, share: str, decision: str
+    ) -> None:
+        clauses, base = program
+        assert len(base) >= 1500
+        k = 8 if share == "eight" else -(-len(base) // 20)
+        victims = random.Random(1).sample(base, k)
+        engine = self._saturated(clauses, base)
+        report = engine.apply_batch(retracts=victims)
+        assert report["decision"] == decision
+        assert report["crossover"] == -(-len(base) // 20)
+        oracle = self._saturated(clauses, set(base) - set(victims))
+        assert engine.facts() == oracle.facts()

@@ -235,14 +235,6 @@ class TestExplanations:
         with pytest.raises(InferenceError):
             engine.explain(("S", "nope", "nope"))
 
-    def test_no_explain_mode_raises_but_derives(self) -> None:
-        engine = HornEngine(record_derivations=False)
-        engine.add_clause(TRANS)
-        engine.add_facts([("S", "a", "b"), ("S", "b", "c")])
-        assert engine.holds(("S", "a", "c"))
-        with pytest.raises(InferenceError):
-            engine.explain(("S", "a", "c"))
-
     def test_explain_covers_incremental_derivations(self) -> None:
         engine = HornEngine()
         engine.add_clause(TRANS)

@@ -318,7 +318,7 @@ class TestExpertLoop:
         """A rule SKAT and inference both suggest reaches the expert
         once, at the higher of the two scores (inference scores 0.7)."""
         from repro.core.rules import parse_rule
-        from repro.lexicon.expert import CallbackPolicy, MatchCandidate
+        from repro.lexicon.expert import MatchCandidate
         from repro.lexicon.skat import Matcher
 
         accept = "left:Car => right:Automobile"
@@ -330,35 +330,70 @@ class TestExpertLoop:
 
             def propose(self, o1, o2):
                 return [
-                    MatchCandidate(parse_rule(accept), 0.95, self.name),
                     MatchCandidate(parse_rule(low), 0.3, self.name),
                     MatchCandidate(parse_rule(high), 0.9, self.name),
                 ]
 
         batches: list[dict[str, MatchCandidate]] = []
 
-        class RecordingPolicy(CallbackPolicy):
+        class RecordingPolicy(ScriptedPolicy):
             def review(self, candidates):
                 candidates = list(candidates)
                 batches.append({c.key(): c for c in candidates})
                 assert len(batches[-1]) == len(candidates)
                 return super().review(candidates)
 
+        # The volunteered rule is applied before round 1, so inference
+        # runs in round 1 and its suggestions merge with SKAT's there.
         articulate_with_expert(
             left,
             right,
-            RecordingPolicy(
-                lambda c: ExpertDecision.ACCEPT
-                if c.key() == accept
-                else ExpertDecision.REJECT
-            ),
+            RecordingPolicy(volunteered=(parse_rule(accept),)),
             skat=SkatEngine(matchers=[FixedMatcher()]),
             name="mid",
         )
-        assert len(batches) == 2
-        merged = batches[1]
+        merged = batches[0]
         assert (merged[low].score, merged[low].matcher) == (0.7, "inference")
         assert (merged[high].score, merged[high].matcher) == (0.9, "fixed")
+
+    def test_no_rule_is_reviewed_twice_and_skat_runs_once(self) -> None:
+        """Neither source changes inside the loop: SKAT proposes once,
+        and a rule the expert rejected never comes back for review."""
+        workload = generate_workload(
+            WorkloadConfig(
+                universe_size=180, terms_per_source=60, overlap=0.4, seed=1
+            )
+        )
+        truth = workload.truth_rules(0, 1)
+        keys: list[str] = []
+        proposals: list[int] = []
+
+        class RecordingPolicy(GroundTruthPolicy):
+            def review(self, candidates):
+                candidates = list(candidates)
+                keys.extend(c.key() for c in candidates)
+                return super().review(candidates)
+
+        class CountingSkat(SkatEngine):
+            def propose(self, o1, o2, **kwargs):
+                proposals.append(1)
+                return super().propose(o1, o2, **kwargs)
+
+        o1, o2 = workload.sources
+        lexicon_skat = SkatEngine.default(workload.lexicon(noise=0.2, seed=1))
+        articulation, audit = articulate_with_expert(
+            o1,
+            o2,
+            RecordingPolicy.from_rules(truth),
+            skat=CountingSkat(matchers=lexicon_skat.matchers),
+            name="art",
+        )
+        assert len(proposals) == 1
+        assert len(keys) == len(set(keys))
+        assert len(audit) == len(keys)
+        accepted = {str(rule) for rule in articulation.rules}
+        assert accepted <= {str(rule) for rule in truth}
+        assert len(accepted) == 40
 
     def test_audit_records_rejections(
         self, left: Ontology, right: Ontology

@@ -1,20 +1,16 @@
 """Unit tests for the planner layer: physical plans, pushdown
-annotations, the LRU plan cache, and streaming execution stats."""
+annotations, plans that follow articulation edits, and streaming
+execution stats."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.articulation import Articulation, BridgeSet
+from repro.core.articulation import Articulation
 from repro.kb.backends import SQLiteBackend
 from repro.kb.instances import InstanceStore
-from repro.query.ast import Query
 from repro.query.engine import QueryEngine
-from repro.query.planner import (
-    PhysicalPlan,
-    Planner,
-    articulation_fingerprint,
-)
+from repro.query.planner import PhysicalPlan
 from repro.workloads.paper_example import carrier_store, factory_store
 
 
@@ -90,59 +86,34 @@ class TestPhysicalPlan:
 
 
 class TestPlanCache:
-    def test_repeated_query_hits_cache(self, engine: QueryEngine) -> None:
-        question = "SELECT price FROM transport:Vehicle"
-        first = engine.plan(question)
-        second = engine.plan(question)
-        assert first is second
-        info = engine.plan_cache_info()
-        assert info.hits == 1
-        assert info.misses == 1
-
-    def test_cache_hit_does_not_walk_bridges(
-        self, engine: QueryEngine, monkeypatch
-    ) -> None:
-        """The cache key reads the articulation's O(1) change stamp, so
-        a hit never iterates the bridge set."""
-        question = "SELECT price FROM transport:Vehicle"
-        engine.plan(question)
-        walks: list[int] = []
-        iterate = BridgeSet.__iter__
-
-        def counting(bridges):
-            walks.append(len(bridges))
-            return iterate(bridges)
-
-        monkeypatch.setattr(BridgeSet, "__iter__", counting)
-        engine.plan(question)
-        assert engine.plan_cache_info().hits == 1
-        assert walks == []
-
-    def test_different_queries_miss(self, engine: QueryEngine) -> None:
-        engine.plan("SELECT price FROM transport:Vehicle")
-        engine.plan("SELECT model FROM transport:Vehicle")
-        assert engine.plan_cache_info().misses == 2
+    """The planner keeps no cache: every plan reads the articulation
+    as it is at the call."""
 
     def test_articulation_edit_invalidates(
-        self, engine: QueryEngine, transport: Articulation
+        self, engine: QueryEngine
     ) -> None:
         question = "SELECT price FROM transport:Vehicle"
         first = engine.plan(question)
-        # mutate the articulation the engine plans over
-        engine.unified.articulation.ontology.add_term("Zeppelin")
+        classes = {p.source: p.scan.classes for p in first.pipelines}
+        assert classes["carrier"] == ("Car",)
+        # carrier:Cars bridges to transport:CarsTrucks; making that a
+        # Vehicle brings the carrier's Cars and Trucks into the scan
         engine.unified.articulation.ontology.add_subclass(
-            "Zeppelin", "Vehicle"
+            "CarsTrucks", "Vehicle"
         )
         second = engine.plan(question)
-        assert second is not first
-        assert engine.plan_cache_info().misses == 2
+        classes = {p.source: p.scan.classes for p in second.pipelines}
+        assert classes["carrier"] == ("Cars", "Trucks")
+        assert classes["factory"] == ("Vehicle",)
 
     def test_fingerprint_changes_with_bridges(
         self, transport: Articulation
     ) -> None:
-        before = articulation_fingerprint(transport)
+        """The result cache keys on this stamp, so an articulation edit
+        must move it."""
+        before = transport.fingerprint()
         transport.ontology.add_term("Hovercraft")
-        assert articulation_fingerprint(transport) != before
+        assert transport.fingerprint() != before
 
     def test_rule_update_under_same_label_invalidates(
         self, transport: Articulation, carrier_kb, factory_kb
@@ -172,20 +143,7 @@ class TestPlanCache:
             if r.get("price") is not None
             and r.get("price") != by_id[r.instance_id].get("price")
         ]
-        assert changed, "stale cached plan served obsolete conversions"
-
-    def test_lru_evicts_oldest(self, transport: Articulation) -> None:
-        planner = Planner(transport)
-        planner.cache_size = 2
-        q1 = Query.over("transport:Vehicle", select=["price"])
-        q2 = Query.over("transport:Vehicle", select=["model"])
-        q3 = Query.over("transport:Vehicle", select=["owner"])
-        planner.plan(q1)
-        planner.plan(q2)
-        planner.plan(q3)  # evicts q1
-        assert planner.cache_info().size == 2
-        planner.plan(q1)
-        assert planner.cache_info().misses == 4
+        assert changed, "a stale plan served obsolete conversions"
 
 
 class TestStreamingExecution:

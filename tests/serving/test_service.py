@@ -183,7 +183,7 @@ class TestStats:
         assert stats["counts"]["queries"] == 1
         assert stats["counts"]["infers"] == 1
         assert stats["cache"]["misses"] >= 2
-        assert "plan_cache" in stats
+        assert "plan_cache" not in stats  # the result cache is the only one
         assert stats["sessions"]["active"] == 0
 
     def test_refresh_noop_keeps_version(self, service) -> None:

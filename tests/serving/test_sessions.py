@@ -8,9 +8,9 @@ import threading
 import pytest
 
 from repro.errors import ServingError
+from repro.inference.horn import FactStore, query_store
 from repro.serving import ArticulationService, load_paper_workload
-from repro.serving.session import SessionManager, snapshot_query
-from repro.inference.horn import FactStore
+from repro.serving.session import SessionManager
 
 
 @pytest.fixture
@@ -172,11 +172,11 @@ class TestSessionLifecycle:
         store.add(("p", "a", "b"))
         store.add(("p", "a", "c"))
         store.add(("p", "x", "b"))
-        assert snapshot_query(store, ("p", "a", "?y")) == [
+        assert query_store(store, ("p", "a", "?y")) == [
             {"?y": "b"},
             {"?y": "c"},
         ] or sorted(
-            b["?y"] for b in snapshot_query(store, ("p", "a", "?y"))
+            b["?y"] for b in query_store(store, ("p", "a", "?y"))
         ) == ["b", "c"]
-        assert len(snapshot_query(store, ("p", "?x", "?y"))) == 3
-        assert snapshot_query(store, ("q", "?x", "?y")) == []
+        assert len(query_store(store, ("p", "?x", "?y"))) == 3
+        assert query_store(store, ("q", "?x", "?y")) == []
