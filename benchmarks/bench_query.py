@@ -19,6 +19,7 @@ from repro.workloads.paper_example import (
     factory_ontology,
     generate_transport_articulation,
 )
+from tests.support.baselines import execute_unpushed
 
 
 def populated_stores(n_instances: int):
@@ -103,31 +104,27 @@ def test_reformulation_overhead_summary(benchmark, table, n_instances) -> None:
 @pytest.mark.parametrize("n_instances", [2000])
 def test_pushdown_ablation(benchmark, table, n_instances) -> None:
     """DESIGN.md ablation: predicate pushdown through inverse
-    conversions vs post-conversion filtering on a selective query."""
+    conversions (the engine) vs post-conversion filtering (the
+    unpushed reference) on a selective query."""
     import time
 
-    articulation = generate_transport_articulation()
+    carrier_kb, factory_kb = populated_stores(n_instances)
+    engine = QueryEngine(
+        generate_transport_articulation(),
+        {"carrier": carrier_kb, "factory": factory_kb},
+    )
     question = "SELECT price FROM transport:Vehicle WHERE price < 2000"
 
-    def run(pushdown: bool):
-        carrier_kb, factory_kb = populated_stores(n_instances)
-        engine = QueryEngine(
-            articulation,
-            {"carrier": carrier_kb, "factory": factory_kb},
-            pushdown=pushdown,
-        )
-        return engine.execute(question)
-
     t0 = time.perf_counter()
-    rows_plain = run(False)
+    rows_plain = execute_unpushed(engine, question)
     t_plain = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rows_pushed = run(True)
+    rows_pushed = engine.execute(question)
     t_pushed = time.perf_counter() - t0
     assert [r.instance_id for r in rows_plain] == [
         r.instance_id for r in rows_pushed
     ]
-    benchmark(lambda: run(True))
+    benchmark(lambda: engine.execute(question))
     table(
         f"QUERY pushdown ablation at n={n_instances}/source",
         ["mode", "rows", "time"],

@@ -1,8 +1,7 @@
 """Experiment RESILIENCE: what fault tolerance costs and buys.
 
-The runtime write-ahead journals batched churn and retries locked
-SQLite statements.  This experiment prices the journal and proves
-recovery works:
+The runtime write-ahead journals batched churn.  This experiment
+prices the journal and proves recovery works:
 
 * **journal overhead** — crash-free batched churn with and without a
   :class:`~repro.reliability.journal.ChurnJournal` attached (each

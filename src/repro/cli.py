@@ -253,7 +253,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     sources = [load_ontology(path) for path in args.sources]
     articulation = _articulate(sources, args.rules, args.name)
     stores = _load_stores(args, articulation)
-    engine = QueryEngine(articulation, stores, pushdown=args.pushdown)
+    engine = QueryEngine(articulation, stores)
     plan = engine.plan(args.query)
     if args.explain:
         print(plan.describe())
@@ -278,7 +278,6 @@ def build_server(args: argparse.Namespace):
     )
 
     service = ArticulationService(
-        pushdown=args.pushdown,
         result_cache_size=args.cache_size,
         session_limit=args.sessions,
         journal_path=args.journal,
@@ -403,7 +402,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     sources = [load_ontology(path) for path in args.sources]
     articulation = _articulate(sources, args.rules, args.name)
     names = [name for name, _ in _parse_kb_specs(args, articulation)]
-    planner = Planner(articulation, pushdown=args.pushdown)
+    planner = Planner(articulation)
     plan = planner.plan(
         parse_query(args.query),
         available=frozenset(names) if names else None,
@@ -516,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="directory for sqlite databases (one per source); "
             "default is in-memory sqlite",
         )
-        command.add_argument(
-            "--pushdown",
-            action="store_true",
-            help="translate WHERE predicates into each source's metric "
-            "and evaluate them at the store (SQL for sqlite)",
-        )
 
     query = sub.add_parser(
         "query", help="run a query across articulated sources"
@@ -601,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="buffer_facts",
         type=int,
         help="paged-store buffer-pool capacity, in facts",
-    )
-    serve.add_argument(
-        "--pushdown",
-        action="store_true",
-        help="translate WHERE predicates into each source's metric",
     )
     serve.set_defaults(fn=cmd_serve, workload=None)
 

@@ -128,7 +128,7 @@ for _name in (
 del _name
 
 
-@dataclass
+@dataclass(eq=False)
 class Articulation:
     """An articulation ontology plus its semantic bridges.
 
@@ -154,7 +154,11 @@ class Articulation:
     saturated inference engine (:meth:`carry_engine`) until a service
     takes it (:meth:`take_engine`) and serves it instead of saturating
     a second one.  The engine is not part of the articulation's value:
-    ``==``, ``repr``, copies and pickles leave it out.
+    ``repr``, copies and pickles leave it out.
+
+    Equality is identity, as for :class:`~repro.core.ontology.Ontology`:
+    an articulation is a mutable graph that is edited in place, not a
+    value.
     """
 
     ontology: Ontology
@@ -163,22 +167,16 @@ class Articulation:
     bridges: BridgeSet = field(default_factory=BridgeSet)
     functions: dict[str, FunctionalRule] = field(default_factory=dict)
     log: TransformLog = field(default_factory=TransformLog)
-    version: int = field(default=0, compare=False)
-    cache_stats: dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    version: int = 0
+    cache_stats: dict[str, int] = field(default_factory=dict, repr=False)
     _unified_cache: tuple[LabeledGraph, tuple, int] | None = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False
     )
     _covered_cache: tuple[tuple, set[str]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False
     )
-    _generated_stamp: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
-    _engine: object | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _generated_stamp: tuple | None = field(default=None, repr=False)
+    _engine: object | None = field(default=None, init=False, repr=False)
 
     @property
     def name(self) -> str:

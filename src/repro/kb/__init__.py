@@ -1,4 +1,4 @@
-"""Knowledge bases: instance stores behind the source wrappers.
+"""Knowledge bases: the instance stores that wrap each source.
 
 Storage itself is pluggable (see :mod:`repro.kb.backends`): the store
 validates against an ontology and expands subclass closure, while a

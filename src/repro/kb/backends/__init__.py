@@ -3,8 +3,7 @@
 The mediator never depends on how a source stores its data (paper
 Fig. 1): :class:`~repro.kb.instances.InstanceStore` delegates all
 storage to a :class:`StorageBackend`, and everything above the store —
-wrappers, planner, executor — only ever sees the streaming ``scan``
-protocol.  Two implementations ship: the dict-indexed
+planner, executor — only ever sees the streaming ``scan`` protocol.  Two implementations ship: the dict-indexed
 :class:`InMemoryBackend` (the store's historical internals, extracted)
 and the persistent :class:`SQLiteBackend` with SQL-side pushdown.
 """

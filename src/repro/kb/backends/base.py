@@ -8,28 +8,25 @@ class terms.
 
 ``scan`` is the one read path and it streams: backends yield instances
 instead of returning lists, so the executor can overlap fetch,
-conversion and predicate work.  Three optional hints let a backend do
-work where it is cheapest:
+conversion and predicate work.  Every scan yields unique instances in
+ascending ``instance_id`` order, which lets the streaming executor
+concatenate per-source streams without a sort.  Two optional hints let
+a backend do work where it is cheapest:
 
 * ``conditions`` — structured :class:`~repro.query.ast.Condition`
   predicates (ANDed).  A backend MUST apply all of them before
   yielding, but MAY evaluate them natively (the SQLite backend
   compiles them to SQL ``WHERE`` clauses); :meth:`ScanStats` records
   how many were evaluated natively vs. in Python.
-* ``predicate`` — an opaque Python callable; always applied in Python.
 * ``attrs`` — a projection hint: when non-empty the caller promises to
   read only these attributes, so a backend MAY narrow the instances it
   yields to that attribute set (the SQLite backend extracts only those
   JSON paths).
-
-Backends that yield instances in ascending ``instance_id`` order (and
-never yield an id twice per scan) set ``ordered = True``; the streaming
-executor uses this to skip its final sort.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.kb.instances import Instance
@@ -72,8 +69,6 @@ class ScanStats:
 class StorageBackend:
     """Abstract base: mutation plus one streaming read operation."""
 
-    #: scans yield unique instances in ascending ``instance_id`` order
-    ordered: bool = False
     #: short name used by plan explanations and the CLI
     kind: str = "abstract"
 
@@ -121,12 +116,11 @@ class StorageBackend:
         classes: Iterable[str],
         *,
         conditions: tuple = (),
-        predicate: Callable[[Instance], bool] | None = None,
         attrs: frozenset[str] | None = None,
     ) -> Iterator[Instance]:
         """Stream instances whose class is in ``classes`` and which
-        satisfy every condition and the predicate.  See the module
-        docstring for the hint semantics."""
+        satisfy every condition, in ascending ``instance_id`` order.
+        See the module docstring for the hint semantics."""
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default

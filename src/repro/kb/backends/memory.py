@@ -14,7 +14,7 @@ re-sorting materialized results.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.kb.backends.base import ScanStats, StorageBackend, matches_conditions
 from repro.kb.instances import Instance
@@ -32,7 +32,6 @@ def _indexable(value: object) -> bool:
 class InMemoryBackend(StorageBackend):
     """Dict-and-set storage with class and attribute-equality indexes."""
 
-    ordered = True
     kind = "memory"
 
     def __init__(self) -> None:
@@ -128,7 +127,6 @@ class InMemoryBackend(StorageBackend):
         classes: Iterable[str],
         *,
         conditions: tuple = (),
-        predicate: Callable[[Instance], bool] | None = None,
         attrs: frozenset[str] | None = None,
     ) -> Iterator[Instance]:
         self.stats.scans += 1
@@ -140,8 +138,6 @@ class InMemoryBackend(StorageBackend):
         for instance_id in sorted(candidates):
             instance = self._instances[instance_id]
             if conditions and not matches_conditions(instance, conditions):
-                continue
-            if predicate is not None and not predicate(instance):
                 continue
             self.stats.rows_yielded += 1
             yield instance

@@ -17,9 +17,13 @@ one SQL statement and three things are pushed into it:
   keeps arrays/objects intact), so wide instances never cross the SQL
   boundary.
 
-Rows come back ``ORDER BY instance_id``, so the backend is ``ordered``
-and the streaming executor can concatenate per-source streams without
-a final sort.
+Rows come back ``ORDER BY instance_id``, the order every backend's
+scans keep, so the streaming executor can concatenate per-source
+streams without a final sort.
+
+A locked database is waited out by SQLite itself: every connection
+sets ``PRAGMA busy_timeout``, and a lock that outlives it raises
+``sqlite3.OperationalError`` to the caller.
 """
 
 from __future__ import annotations
@@ -29,26 +33,15 @@ import math
 import re
 import sqlite3
 import threading
-import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.errors import KnowledgeBaseError
 from repro.kb.backends.base import StorageBackend, matches_conditions
 from repro.kb.instances import Instance
-from repro.reliability.policy import SQLITE_RETRY_POLICY, RetryPolicy
 
 __all__ = ["SQLiteBackend", "condition_to_sql"]
-
-# OperationalError messages that mean "try again", not "give up":
-# another connection holds the lock (or the shared cache is busy).
-_LOCKED_MARKERS = ("locked", "busy")
-
-
-def _is_locked(exc: sqlite3.OperationalError) -> bool:
-    message = str(exc).lower()
-    return any(marker in message for marker in _LOCKED_MARKERS)
 
 # Attribute names are stored lowercase; only plain identifiers are
 # interpolated into JSON paths (everything else falls back to Python).
@@ -126,7 +119,7 @@ class SQLiteBackend(StorageBackend):
     * **file databases** get one connection *per thread*
       (thread-local, created on first use), so concurrent readers run
       genuinely in parallel on independent connections and SQLite's
-      own file locking (plus the ``busy_timeout``/retry ladder)
+      own file locking, waited out for up to ``busy_timeout_ms``,
       arbitrates writers;
     * **``:memory:``** cannot do that — each new connection to
       ``:memory:`` is a *different* empty database — so all threads
@@ -138,7 +131,6 @@ class SQLiteBackend(StorageBackend):
     thread tears the store down.
     """
 
-    ordered = True
     kind = "sqlite"
 
     def __init__(
@@ -146,14 +138,10 @@ class SQLiteBackend(StorageBackend):
         path: str | Path = ":memory:",
         *,
         busy_timeout_ms: int = 5000,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         super().__init__()
         self.path = str(path)
-        self._retry = retry_policy or SQLITE_RETRY_POLICY
         self._busy_timeout_ms = int(busy_timeout_ms)
-        #: locked-database retries performed (observability/tests)
-        self.lock_retries = 0
         self._memory = self.path == ":memory:"
         # guards the shared :memory: connection; re-entrant so bulk()
         # can hold it across the statements it issues
@@ -191,10 +179,8 @@ class SQLiteBackend(StorageBackend):
         conn = sqlite3.connect(
             self.path, isolation_level=None, check_same_thread=False
         )
-        # first line of defence: SQLite itself waits out a writer
-        # before surfacing "database is locked"; the _execute retry
-        # loop is the second, for busy shared caches and locks that
-        # outlive the pragma.
+        # SQLite itself waits out a writer before surfacing "database
+        # is locked"
         conn.execute(f"PRAGMA busy_timeout = {self._busy_timeout_ms}")
         with self._conns_lock:
             self._conns.append(conn)
@@ -212,28 +198,13 @@ class SQLiteBackend(StorageBackend):
         return conn
 
     def _execute(self, sql: str, params: tuple | list = ()) -> sqlite3.Cursor:
-        """Execute with bounded backoff-retry on transient lock errors.
-
-        Non-lock OperationalErrors (and every other exception) raise
-        immediately; a lock that outlives ``max_retries`` attempts
-        raises the final OperationalError unchanged.
-        """
-        attempt = 0
-        while True:
-            try:
-                if self._shared_conn is not None:
-                    # one statement at a time on the shared :memory:
-                    # connection; per-thread file connections need no
-                    # lock at all
-                    with self._conn_lock:
-                        return self._conn.execute(sql, params)
+        """Execute one statement on this thread's connection."""
+        if self._shared_conn is not None:
+            # one statement at a time on the shared :memory:
+            # connection; per-thread file connections need no lock
+            with self._conn_lock:
                 return self._conn.execute(sql, params)
-            except sqlite3.OperationalError as exc:
-                if not _is_locked(exc) or attempt >= self._retry.max_retries:
-                    raise
-                self.lock_retries += 1
-                time.sleep(self._retry.delay(attempt))
-                attempt += 1
+        return self._conn.execute(sql, params)
 
     # ------------------------------------------------------------------
     # mutation
@@ -272,7 +243,7 @@ class SQLiteBackend(StorageBackend):
         """Group many inserts into one transaction (bulk loading).
 
         Every exception path rolls back: the body raising, the COMMIT
-        itself failing, even a lock error outliving the retries — the
+        itself failing, even a lock outliving ``busy_timeout_ms`` — the
         ``in_transaction`` guard means a rollback is attempted exactly
         when a transaction is actually open, so no exception can leave
         the connection wedged inside a stale BEGIN.
@@ -418,7 +389,6 @@ class SQLiteBackend(StorageBackend):
         classes: Iterable[str],
         *,
         conditions: tuple = (),
-        predicate: Callable[[Instance], bool] | None = None,
         attrs: frozenset[str] | None = None,
     ) -> Iterator[Instance]:
         self.stats.scans += 1
@@ -465,8 +435,6 @@ class SQLiteBackend(StorageBackend):
             else:
                 instance = self._row_to_instance(row)
             if residual and not matches_conditions(instance, residual):
-                continue
-            if predicate is not None and not predicate(instance):
                 continue
             self.stats.rows_yielded += 1
             yield instance

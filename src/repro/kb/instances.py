@@ -1,9 +1,9 @@
 """Knowledge bases: instance stores conforming to an ontology.
 
 The paper's architecture (Fig. 1) pairs each source ontology with a
-knowledge base behind a wrapper; queries reformulated by the query
-processor ultimately run against these stores.  An
-:class:`InstanceStore` validates typed instances against one ontology
+knowledge base behind a wrapper; an :class:`InstanceStore` is that
+wrapper, and the query processor's per-source scans run straight
+against it.  It validates typed instances against one ontology
 and delegates all storage to a pluggable
 :class:`~repro.kb.backends.base.StorageBackend` (in-memory dict
 indexes by default, SQLite for persistence).  It answers class queries
@@ -193,20 +193,14 @@ class InstanceStore:
         *,
         include_subclasses: bool = True,
         conditions: tuple = (),
-        predicate: Callable[[Instance], bool] | None = None,
         attrs: frozenset[str] | None = None,
     ) -> Iterator[Instance]:
         """Stream instances of the given classes (the layered read
         path: closure expands here, filtering/projection may be pushed
-        into the backend).  Yields in ascending ``instance_id`` order
-        when the backend is ordered."""
+        into the backend).  Yields unique instances in ascending
+        ``instance_id`` order."""
         expanded = self._expand_classes(classes, include_subclasses)
-        return self.backend.scan(
-            expanded,
-            conditions=conditions,
-            predicate=predicate,
-            attrs=attrs,
-        )
+        return self.backend.scan(expanded, conditions=conditions, attrs=attrs)
 
     def instances_of(
         self, cls: str, *, include_subclasses: bool = True
@@ -224,13 +218,13 @@ class InstanceStore:
         include_subclasses: bool = True,
     ) -> list[Instance]:
         """Union of class queries, optionally filtered; de-duplicated."""
-        return list(
-            self.scan(
-                classes,
-                include_subclasses=include_subclasses,
-                predicate=predicate,
+        return [
+            instance
+            for instance in self.scan(
+                classes, include_subclasses=include_subclasses
             )
-        )
+            if predicate is None or predicate(instance)
+        ]
 
     def validate(self) -> list[str]:
         """Check every instance's class (and, if strict, attributes)."""

@@ -1,9 +1,10 @@
 """The ONION query system: AST, parser, reformulation across bridges,
-planner, streaming executor, wrappers and answering-using-views
-(paper §2.3).
+planner, streaming executor and answering-using-views (paper §2.3).
 
-The query path is layered: ``parse -> reformulate (logical) -> plan
-(physical) -> execute (streaming)``, with storage backends
+The query path is one path: ``parse -> reformulate (logical) -> plan
+(physical, WHERE split into pushed and residual conditions) -> execute
+(streaming)``, with each source's
+:class:`~repro.kb.instances.InstanceStore` and its storage backend
 (:mod:`repro.kb.backends`) answering the scans at the bottom.
 """
 
@@ -41,23 +42,15 @@ from repro.query.pushdown import (
 from repro.query.parser import parse_query
 from repro.query.reformulate import Conversion, SourcePlan, reformulate
 from repro.query.views import MaterializedView, ViewCatalog
-from repro.query.wrappers import (
-    CallableWrapper,
-    InstanceStoreWrapper,
-    SourceWrapper,
-    as_wrapper,
-)
 
 __all__ = [
     "AGGREGATE_ROW_ID",
     "Aggregate",
-    "CallableWrapper",
     "Condition",
     "Conversion",
     "ExecutionStats",
     "FilterOp",
     "FinalizeOp",
-    "InstanceStoreWrapper",
     "MaterializedView",
     "MediatorClass",
     "MediatorSpec",
@@ -70,10 +63,8 @@ __all__ = [
     "ScanOp",
     "SourcePipeline",
     "SourcePlan",
-    "SourceWrapper",
     "StreamingExecutor",
     "ViewCatalog",
-    "as_wrapper",
     "finalize_rows",
     "generate_mediator",
     "parse_query",

@@ -1,15 +1,16 @@
 """The query engine facade: planning and execution (paper §2.3, Fig. 1).
 
-:class:`QueryEngine` is now a thin coordinator over three layers:
+:class:`QueryEngine` is a thin coordinator over three layers:
 
 * the **planner** (:mod:`repro.query.planner`) reformulates a query
   over the articulation into an explicit
   :class:`~repro.query.planner.PhysicalPlan`;
 * the **executor** (:mod:`repro.query.executor`) evaluates plans as
   streaming iterator pipelines;
-* **storage backends** (:mod:`repro.kb.backends`) behind the source
-  wrappers answer the scans, with predicates and projections pushed
-  down as far as each backend can take them.
+* each source's :class:`~repro.kb.instances.InstanceStore` — the
+  paper's wrapper — answers the scans through its storage backend
+  (:mod:`repro.kb.backends`), with predicates and projections pushed
+  down as far as the backend can take them.
 
 The entry points ``plan`` / ``run`` / ``execute``, ``ResultRow`` and
 ``finalize_rows`` are thin wrappers over those layers.
@@ -33,7 +34,6 @@ from repro.query.executor import (
 )
 from repro.query.parser import parse_query
 from repro.query.planner import PhysicalPlan, Planner
-from repro.query.wrappers import SourceWrapper, as_wrapper
 
 __all__ = [
     "AGGREGATE_ROW_ID",
@@ -46,29 +46,24 @@ __all__ = [
 
 
 class QueryEngine:
-    """Plans and executes queries against wrapped sources.
+    """Plans and executes queries against the sources' instance stores.
 
-    ``pushdown=True`` translates range predicates into each source's
-    metric through the inverse conversion functions and attaches them
-    to the scan operators, so backends evaluate them at the store —
-    in SQL, for the SQLite backend — before any value conversion (see
+    Range predicates are translated into each source's metric through
+    the inverse conversion functions and attached to the scan
+    operators, so backends evaluate them at the store — in SQL, for
+    the SQLite backend — before any value conversion (see
     :mod:`repro.query.pushdown`).
     """
 
     def __init__(
         self,
         articulation: Articulation,
-        stores: Mapping[str, InstanceStore | SourceWrapper],
-        *,
-        pushdown: bool = False,
+        stores: Mapping[str, InstanceStore],
     ) -> None:
         self.unified = UnifiedOntology(articulation)
-        self.pushdown = pushdown
-        self.wrappers: dict[str, SourceWrapper] = {
-            name: as_wrapper(store) for name, store in stores.items()
-        }
-        self.planner = Planner(self.unified, pushdown=pushdown)
-        self.executor = StreamingExecutor(self.wrappers)
+        self.stores: dict[str, InstanceStore] = dict(stores)
+        self.planner = Planner(self.unified)
+        self.executor = StreamingExecutor(self.stores)
         #: stats of the most recent :meth:`run` (peak rows, scan counts)
         self.last_stats: ExecutionStats | None = None
 
@@ -79,7 +74,7 @@ class QueryEngine:
         if isinstance(query, str):
             query = parse_query(query)
         return self.planner.plan(
-            query, available=frozenset(self.wrappers)
+            query, available=frozenset(self.stores)
         )
 
     # ------------------------------------------------------------------

@@ -1,19 +1,19 @@
 """The streaming executor: physical plans -> iterator pipelines.
 
-Where the old engine fetched *full lists* from every wrapper, converted
-them, filtered them and only then merged, this executor evaluates a
-:class:`~repro.query.planner.PhysicalPlan` lazily: each source is a
-generator chain (scan -> convert -> residual filter -> row), sources
-are concatenated, and the finalize step decides how much ever needs to
-be held in memory at once:
+The executor evaluates a :class:`~repro.query.planner.PhysicalPlan`
+lazily: each source is a generator chain over its
+:class:`~repro.kb.instances.InstanceStore` scan (scan -> convert ->
+residual filter -> row), sources are concatenated, and the finalize
+step decides how much ever needs to be held in memory at once:
 
 * **aggregates** fold the stream into constant-size accumulators — a
   ``COUNT(*)`` over a million instances materializes one row;
-* **ordered scans** (both built-in backends yield in ascending
-  ``instance_id`` order) concatenate into an already-sorted answer, so
-  ``LIMIT`` queries stop pulling from the backends early;
-* only an explicit ``ORDER BY`` — or an unordered wrapper — forces the
-  classic materialize-and-sort barrier.
+* **scans** yield unique instances in ascending ``instance_id`` order
+  (the storage-backend contract), so the concatenation is already the
+  sorted answer and ``LIMIT`` queries stop pulling from the backends
+  early;
+* only an explicit ``ORDER BY`` forces the classic materialize-and-sort
+  barrier.
 
 :class:`ExecutionStats` records ``peak_rows`` — the most rows ever
 materialized at one time — which is how the benchmarks prove streaming
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 
+from repro.kb.instances import InstanceStore
 from repro.query.ast import Aggregate, Query
 from repro.query.planner import PhysicalPlan, SourcePipeline
 
@@ -180,10 +182,11 @@ class _AggregateState:
 # the executor
 # ----------------------------------------------------------------------
 class StreamingExecutor:
-    """Evaluates physical plans as generator pipelines over wrappers."""
+    """Evaluates physical plans as generator pipelines over the
+    sources' instance stores."""
 
-    def __init__(self, wrappers: Mapping[str, "SourceWrapper"]) -> None:
-        self.wrappers = wrappers
+    def __init__(self, stores: Mapping[str, InstanceStore]) -> None:
+        self.stores = stores
 
     # -- per-source pipeline --------------------------------------------
     def _source_rows(
@@ -193,9 +196,8 @@ class StreamingExecutor:
         stats: ExecutionStats,
     ) -> Iterator[ResultRow]:
         """scan -> convert -> residual filter -> project, one row at a
-        time.  Mirrors the eager engine's semantics exactly, including
-        first-surviving-row-wins deduplication per (source, id)."""
-        wrapper = self.wrappers[pipeline.source]
+        time."""
+        store = self.stores[pipeline.source]
         scan = pipeline.scan
         logical = pipeline.logical
         residual = pipeline.filter.residual
@@ -205,8 +207,7 @@ class StreamingExecutor:
             if scan.projection is None
             else frozenset(scan.projection)
         )
-        seen: set[str] = set()
-        for instance in wrapper.scan(
+        for instance in store.scan(
             scan.classes,
             include_subclasses=scan.include_subclasses,
             conditions=scan.pushed,
@@ -216,8 +217,6 @@ class StreamingExecutor:
             stats.per_source[pipeline.source] = (
                 stats.per_source.get(pipeline.source, 0) + 1
             )
-            if instance.instance_id in seen:
-                continue
             attributes = needed if needed else set(instance.attributes)
             converted = {
                 attr: logical.convert(attr, instance.get(attr))
@@ -237,7 +236,6 @@ class StreamingExecutor:
                 # converted where applicable.
                 values = dict(instance.attributes)
                 values.update(converted)
-            seen.add(instance.instance_id)
             yield ResultRow(
                 instance.instance_id,
                 pipeline.source,
@@ -279,27 +277,17 @@ class StreamingExecutor:
             stats.rows_out = 1
             return rows
 
-        ordered = all(
-            getattr(self.wrappers[p.source], "ordered", False)
-            for p in plan.pipelines
-        )
-        if ordered and not query.order_by:
+        if query.order_by:
+            stats.streamed = False
+            rows = list(stream)
+            stats.peak_rows = max(stats.peak_rows, len(rows))
+            rows = finalize_rows(query, rows)
+        else:
             # Pipelines are sorted by source name and each yields in
             # ascending instance_id order, so the concatenation is
             # already the final order: stream straight into the result,
             # stopping as soon as LIMIT is satisfied.
-            rows = []
-            for row in stream:
-                rows.append(row)
-                if query.limit is not None and len(rows) >= query.limit:
-                    break
-            rows = rows[: query.limit] if query.limit is not None else rows
-        else:
-            stats.streamed = False
-            rows = list(stream)
-            stats.peak_rows = max(stats.peak_rows, len(rows))
-            rows.sort(key=lambda r: (r.source, r.instance_id))
-            rows = finalize_rows(query, rows)
+            rows = list(islice(stream, query.limit))
         rows = project_rows(query, rows)
         stats.peak_rows = max(stats.peak_rows, len(rows))
         stats.rows_out = len(rows)

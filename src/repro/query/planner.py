@@ -10,7 +10,9 @@ The query path is layered (EMBANKS-style plan/execute split):
    predicates and projections pushed down to the storage backend,
    **convert** and **filter** ops for the post-fetch work, and
    **merge**/**finalize** ops describing how per-source streams become
-   the final answer.
+   the final answer.  WHERE is always split per source
+   (:func:`~repro.query.pushdown.split_conditions`): what the source
+   can evaluate in its own metric is pushed, the rest stays residual.
 3. :mod:`repro.query.executor` evaluates the plan as iterator
    pipelines.
 
@@ -116,9 +118,10 @@ class SourcePipeline:
 
 @dataclass(frozen=True)
 class MergeOp:
-    """Concatenate per-source streams into one deduplicated answer
-    ordered by ``(source, instance_id)``; ``streaming`` means every
-    input is already ordered so no sort barrier is needed."""
+    """Concatenate per-source streams into one answer ordered by
+    ``(source, instance_id)``.  Every store scans in ``instance_id``
+    order, so the merge streams; only ORDER BY (``streaming`` False)
+    needs a sort barrier."""
 
     streaming: bool
 
@@ -165,7 +168,6 @@ class PhysicalPlan:
     pipelines: tuple[SourcePipeline, ...]
     merge: MergeOp
     finalize: FinalizeOp
-    pushdown: bool = False
 
     @property
     def source_plans(self) -> tuple[SourcePlan, ...]:
@@ -190,21 +192,16 @@ class PhysicalPlan:
 class Planner:
     """Turns parsed queries into physical plans.
 
-    ``pushdown`` controls whether WHERE predicates are translated into
-    each source's metric and attached to the scan ops; projections are
-    always pushed when the query names the attributes it needs.
+    WHERE predicates that a source can evaluate in its own metric are
+    translated and attached to its scan op; the rest run after
+    conversion.  Projections push whenever the query names the
+    attributes it needs.
     """
 
-    def __init__(
-        self,
-        unified: UnifiedOntology | Articulation,
-        *,
-        pushdown: bool = False,
-    ) -> None:
+    def __init__(self, unified: UnifiedOntology | Articulation) -> None:
         if isinstance(unified, Articulation):
             unified = UnifiedOntology(unified)
         self.unified = unified
-        self.pushdown = pushdown
 
     def plan(
         self,
@@ -237,10 +234,7 @@ class Planner:
 
         pipelines = []
         for source_plan in source_plans:
-            if self.pushdown:
-                pushed, residual = split_conditions(query, source_plan)
-            else:
-                pushed, residual = (), query.where
+            pushed, residual = split_conditions(query, source_plan)
             pipelines.append(
                 SourcePipeline(
                     scan=ScanOp(
@@ -257,8 +251,6 @@ class Planner:
         return PhysicalPlan(
             query=query,
             pipelines=tuple(pipelines),
-            # The executor downgrades to a sort at run time if any
-            # wrapper turns out to be unordered.
             merge=MergeOp(streaming=not query.order_by),
             finalize=FinalizeOp(
                 aggregates=query.aggregates,
@@ -266,5 +258,4 @@ class Planner:
                 limit=query.limit,
                 select=query.select,
             ),
-            pushdown=self.pushdown,
         )

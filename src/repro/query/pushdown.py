@@ -1,11 +1,11 @@
 """Predicate pushdown through conversion functions.
 
-The executor normally fetches every candidate instance, converts its
-values into the query's metric, and only then evaluates WHERE
-predicates.  When a conversion chain is invertible and monotone — unit
-conversions always are — a *range* predicate can instead be translated
-into the source's own metric and evaluated at the store, before any
-conversion work:
+A WHERE predicate is written in the query's metric, so evaluating it
+means fetching every candidate instance and converting its values
+first.  When a conversion chain is invertible and monotone — unit
+conversions always are — the planner instead translates a *range*
+predicate into the source's own metric, and the store evaluates it
+before any conversion work:
 
     WHERE price < 10000        (Euro, at the articulation)
       ==> price < 7111.0       (Pound Sterling, at the carrier)

@@ -153,6 +153,11 @@ class ChurnJournal:
         replayed pending batches so a second recovery is a no-op.  The
         report counts ``batches`` folded, ``replayed_pending`` crash
         victims, and base ``facts`` after the fold.
+
+        An existing paged database (``storage_path``, the ingest
+        handoff) keeps whatever it last committed — facts retracted
+        since, and everything derived from them — so every stored fact
+        outside the fold is unlinked before saturating.
         """
         from repro.core.rules import HornClause
         from repro.inference.horn import HornEngine
@@ -172,6 +177,9 @@ class ChurnJournal:
             facts.update(tuple(a) for a in json.loads(adds))
             pending += not committed
         engine = HornEngine(journal=self, **engine_kwargs)  # type: ignore[arg-type]
+        store = engine.store
+        for atom in [f for f in store.iter_facts() if f not in facts]:
+            store.remove(atom)
         engine.add_clauses(
             HornClause(tuple(head), tuple(tuple(a) for a in body))
             for head, body in doc["clauses"]

@@ -122,7 +122,6 @@ class ArticulationService:
     def __init__(
         self,
         *,
-        pushdown: bool = False,
         result_cache_size: int = 512,
         session_limit: int = 256,
         journal_path: str | None = None,
@@ -130,7 +129,6 @@ class ArticulationService:
         storage_path: str | None = None,
         buffer_facts: int | None = None,
     ) -> None:
-        self.pushdown = pushdown
         self.storage = storage
         self.storage_path = storage_path
         self.buffer_facts = buffer_facts
@@ -309,9 +307,7 @@ class ArticulationService:
         self._inference.refresh_from_articulation(articulation)
         self._recovered = None
         self._stores = dict(stores or {})
-        self._query_engine = QueryEngine(
-            articulation, self._stores, pushdown=self.pushdown
-        )
+        self._query_engine = QueryEngine(articulation, self._stores)
         self._publish()
         return {
             "articulation": articulation.name,

@@ -1,25 +1,21 @@
-"""SQLite backend resilience: busy timeout, lock retry, rollback,
-context-manager lifecycle.
+"""SQLite backend resilience: busy timeout, rollback, context-manager
+lifecycle.
 
 Lock tests hold a real lock from a second connection on a file
-database, with ``busy_timeout_ms=0`` so the backend sees "database is
-locked" at once; patching the backend module's ``time.sleep`` releases
-the lock at the first backoff, deterministically.
+database.  SQLite's own busy handler waits the lock out for up to
+``busy_timeout_ms``; with ``busy_timeout_ms=0`` the backend sees
+"database is locked" at once.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import time
 
 import pytest
 
-from repro.kb.backends import sqlite as sqlite_module
 from repro.kb.backends.sqlite import SQLiteBackend
 from repro.kb.instances import Instance
-from repro.reliability import RetryPolicy
-
-FAST = RetryPolicy(max_retries=3, backoff_base=0.001, backoff_cap=0.005)
-NO_RETRY = RetryPolicy(max_retries=0, backoff_base=0.0, backoff_cap=0.0)
 
 
 def _instance(i: int) -> Instance:
@@ -40,51 +36,36 @@ class TestBusyTimeoutAndRetry:
         assert value == 1234
         backend.close()
 
-    def test_injected_lock_is_retried_transparently(
-        self, tmp_path, monkeypatch
-    ) -> None:
-        """A lock held by a second connection fails the insert once;
-        the retry after the backoff (which releases it) succeeds."""
-        path = tmp_path / "kb.db"
-        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=FAST)
-        other = _write_locker(path)
-        sleeps: list[float] = []
-
-        def release(seconds: float) -> None:
-            sleeps.append(seconds)
-            other.execute("COMMIT")
-
-        monkeypatch.setattr(sqlite_module.time, "sleep", release)
-        backend.insert(_instance(0))
-        other.close()
-        assert backend.get("i0") is not None
-        assert backend.lock_retries == 1
-        assert sleeps == [FAST.delay(0)]
-        backend.close()
-
     def test_lock_that_outlives_retries_raises(self, tmp_path) -> None:
+        """SQLite's busy handler retries a held lock until
+        ``busy_timeout_ms`` runs out; at 0 it gives up at once (the
+        default would wait 5 s) and the insert leaves no row."""
         path = tmp_path / "kb.db"
-        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=NO_RETRY)
+        backend = SQLiteBackend(path, busy_timeout_ms=0)
         other = _write_locker(path)
+        started = time.perf_counter()
         try:
             with pytest.raises(sqlite3.OperationalError, match="locked"):
                 backend.insert(_instance(0))
         finally:
             other.close()
-        assert backend.lock_retries == 0
+        assert time.perf_counter() - started < 2.0
         assert len(backend) == 0
         backend.close()
 
     def test_non_lock_operational_error_not_retried(self) -> None:
-        backend = SQLiteBackend(retry_policy=FAST)
-        with pytest.raises(sqlite3.OperationalError):
+        """Any other OperationalError reaches the caller unchanged, and
+        the connection stays usable."""
+        backend = SQLiteBackend()
+        with pytest.raises(sqlite3.OperationalError, match="no such table"):
             backend._execute("SELECT * FROM no_such_table")
-        assert backend.lock_retries == 0
+        backend.insert(_instance(0))
+        assert len(backend) == 1
         backend.close()
 
     def test_real_cross_connection_lock_is_waited_out(self, tmp_path) -> None:
         """A second connection holding a write lock stalls, not kills,
-        the backend (busy_timeout + retry loop)."""
+        the backend (busy_timeout)."""
         path = tmp_path / "kb.db"
         backend = SQLiteBackend(path, busy_timeout_ms=2000)
         backend.insert(_instance(0))
@@ -126,11 +107,11 @@ class TestBulkRollback:
     def test_mid_bulk_injected_lock_exhaustion_rolls_back(
         self, tmp_path
     ) -> None:
-        """Even the retry loop giving up inside a bulk leaves the
-        table at its pre-bulk state: a second connection's open read
+        """Even a lock outliving the busy timeout inside a bulk leaves
+        the table at its pre-bulk state: a second connection's open read
         transaction keeps the bulk's COMMIT from its exclusive lock."""
         path = tmp_path / "kb.db"
-        backend = SQLiteBackend(path, busy_timeout_ms=0, retry_policy=NO_RETRY)
+        backend = SQLiteBackend(path, busy_timeout_ms=0)
         backend.insert(_instance(0))
         reader = sqlite3.connect(path, isolation_level=None)
         reader.execute("BEGIN")

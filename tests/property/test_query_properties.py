@@ -16,9 +16,10 @@ from repro.workloads.paper_example import (
     factory_ontology,
     generate_transport_articulation,
 )
+from tests.support.baselines import execute_unpushed
 
 
-def build_engine(seed: int, n: int, *, pushdown: bool = False) -> QueryEngine:
+def build_engine(seed: int, n: int) -> QueryEngine:
     rng = random.Random(seed)
     carrier_kb = InstanceStore(carrier_ontology())
     factory_kb = InstanceStore(factory_ontology())
@@ -38,7 +39,6 @@ def build_engine(seed: int, n: int, *, pushdown: bool = False) -> QueryEngine:
     return QueryEngine(
         generate_transport_articulation(),
         {"carrier": carrier_kb, "factory": factory_kb},
-        pushdown=pushdown,
     )
 
 
@@ -58,8 +58,9 @@ def test_pushdown_agrees_with_plain(seed, raw_conditions) -> None:
     """For every random predicate set, pushdown changes nothing."""
     where = [Condition(a, op, v) for a, op, v in raw_conditions]
     query = Query.over("transport:Vehicle", select=["price"], where=where)
-    plain = build_engine(seed, 30).execute(query)
-    pushed = build_engine(seed, 30, pushdown=True).execute(query)
+    engine = build_engine(seed, 30)
+    plain = execute_unpushed(engine, query)
+    pushed = engine.execute(query)
     assert [(r.source, r.instance_id) for r in plain] == [
         (r.source, r.instance_id) for r in pushed
     ]

@@ -8,7 +8,6 @@ from repro.core.articulation import Articulation
 from repro.errors import PlanningError
 from repro.kb.instances import InstanceStore
 from repro.query.engine import QueryEngine
-from repro.query.wrappers import InstanceStoreWrapper
 from repro.workloads.paper_example import DG_PER_EURO, PS_PER_EURO
 
 
@@ -142,11 +141,11 @@ class TestWrapperAccounting:
         carrier_kb: InstanceStore,
         factory_kb: InstanceStore,
     ) -> None:
-        carrier_wrapper = InstanceStoreWrapper(carrier_kb)
         engine = QueryEngine(
             transport,
-            {"carrier": carrier_wrapper, "factory": factory_kb},
+            {"carrier": carrier_kb, "factory": factory_kb},
         )
+        before = carrier_kb.backend.stats.scans
         engine.execute("SELECT * FROM transport:Vehicle")
         engine.execute("SELECT * FROM transport:Vehicle")
-        assert carrier_wrapper.fetch_count == 2
+        assert carrier_kb.backend.stats.scans - before == 2

@@ -33,12 +33,10 @@ class TestPhysicalPlan:
         assert isinstance(plan, PhysicalPlan)
         assert {p.source for p in plan.pipelines} == {"carrier", "factory"}
         for pipeline in plan.pipelines:
-            # no pushdown: predicates stay residual, projection pushes
-            assert pipeline.scan.pushed == ()
+            # the range predicate and the projection both push
+            assert [c.attribute for c in pipeline.scan.pushed] == ["price"]
             assert pipeline.scan.projection == ("price",)
-            assert [str(c) for c in pipeline.filter.residual] == [
-                "price < 10000"
-            ]
+            assert pipeline.filter.residual == ()
 
     def test_pushdown_annotates_scan_ops(
         self, transport: Articulation
@@ -46,7 +44,6 @@ class TestPhysicalPlan:
         engine = QueryEngine(
             transport,
             {"carrier": carrier_store(), "factory": factory_store()},
-            pushdown=True,
         )
         plan = engine.plan(
             "SELECT price FROM transport:Vehicle WHERE price < 10000"
@@ -63,7 +60,6 @@ class TestPhysicalPlan:
         engine = QueryEngine(
             transport,
             {"carrier": carrier_store().clone(SQLiteBackend())},
-            pushdown=True,
         )
         text = engine.plan(
             "SELECT price FROM transport:Vehicle WHERE price < 10000"

@@ -11,12 +11,12 @@ from repro.query.ast import Condition, Query
 from repro.query.engine import QueryEngine
 from repro.query.pushdown import push_condition, pushable, split_conditions
 from repro.query.reformulate import Conversion, reformulate
-from repro.query.wrappers import InstanceStoreWrapper
 from repro.workloads.paper_example import (
     PS_PER_EURO,
     carrier_store,
     factory_store,
 )
+from tests.support.baselines import execute_unpushed
 
 
 def carrier_price_plan(transport: Articulation, query: Query):
@@ -138,10 +138,9 @@ class TestEndToEndEquivalence:
     def test_pushdown_equals_plain_execution(
         self, transport: Articulation, stores, question
     ) -> None:
-        plain = QueryEngine(transport, stores)
-        pushed = QueryEngine(transport, stores, pushdown=True)
-        rows_plain = plain.execute(question)
-        rows_pushed = pushed.execute(question)
+        engine = QueryEngine(transport, stores)
+        rows_plain = execute_unpushed(engine, question)
+        rows_pushed = engine.execute(question)
         assert [
             (r.source, r.instance_id, sorted(r.values.items()))
             for r in rows_plain
@@ -153,32 +152,14 @@ class TestEndToEndEquivalence:
     def test_pushdown_reduces_fetched_instances(
         self, transport: Articulation
     ) -> None:
-        carrier_wrapper = InstanceStoreWrapper(carrier_store())
-        factory_wrapper = InstanceStoreWrapper(factory_store())
-        engine = QueryEngine(
-            transport,
-            {"carrier": carrier_wrapper, "factory": factory_wrapper},
-            pushdown=True,
-        )
-        engine.execute(
-            "SELECT price FROM transport:Vehicle WHERE price < 5000"
-        )
-        pushed_total = (
-            carrier_wrapper.fetched_instances
-            + factory_wrapper.fetched_instances
-        )
+        def fetched(execute) -> int:
+            stores = {"carrier": carrier_store(), "factory": factory_store()}
+            execute(
+                QueryEngine(transport, stores),
+                "SELECT price FROM transport:Vehicle WHERE price < 5000",
+            )
+            return sum(
+                store.backend.stats.rows_yielded for store in stores.values()
+            )
 
-        carrier_plain = InstanceStoreWrapper(carrier_store())
-        factory_plain = InstanceStoreWrapper(factory_store())
-        plain = QueryEngine(
-            transport,
-            {"carrier": carrier_plain, "factory": factory_plain},
-        )
-        plain.execute(
-            "SELECT price FROM transport:Vehicle WHERE price < 5000"
-        )
-        plain_total = (
-            carrier_plain.fetched_instances
-            + factory_plain.fetched_instances
-        )
-        assert pushed_total < plain_total
+        assert fetched(QueryEngine.execute) < fetched(execute_unpushed)

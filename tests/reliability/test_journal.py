@@ -242,6 +242,42 @@ journal.snapshot(engine)
             [("S", "b", "c"), ("S", "c", "d")]
         )
 
+    def test_recover_into_existing_paged_file_drops_retracted_facts(
+        self, tmp_path
+    ) -> None:
+        """The paged database keeps its last committed state: here the
+        saturated fixpoint before a retraction the journal committed.
+        Recovering into that file must not bring the retracted fact,
+        or what it derived, back."""
+        path, db = tmp_path / "j.journal", tmp_path / "facts.db"
+        run_killed(
+            f"""
+from repro.core.rules import HornClause
+from repro.inference.horn import HornEngine
+from repro.reliability import ChurnJournal
+
+journal = ChurnJournal(sys.argv[1])
+engine = HornEngine(storage="paged", storage_path=sys.argv[2], journal=journal)
+engine.add_clause(
+    HornClause(("S", "?x", "?z"), (("S", "?x", "?y"), ("S", "?y", "?z")))
+)
+engine.add_facts([("S", "a", "b"), ("S", "b", "c"), ("S", "c", "d")])
+engine.saturate()
+journal.snapshot(engine)
+engine.store.flush()
+engine.apply_batch(retracts=[("S", "b", "c")])
+{KILL}
+""",
+            str(path),
+            str(db),
+        )
+        recovered, _ = ChurnJournal(path).recover(
+            storage="paged", storage_path=str(db)
+        )
+        oracle = _oracle([("S", "a", "b"), ("S", "c", "d")])
+        assert recovered.facts() == oracle
+        recovered.store.close()
+
     def test_recover_from_snapshot_plus_committed_history(
         self, tmp_path
     ) -> None:

@@ -49,7 +49,7 @@ class TestArgParsing:
         assert args.cache_size == 512
         assert not hasattr(args, "workers")
         assert args.journal is None
-        assert args.pushdown is False
+        assert not hasattr(args, "pushdown")
 
     def test_serve_overrides(self) -> None:
         args = build_parser().parse_args(
@@ -67,14 +67,12 @@ class TestArgParsing:
                 "16",
                 "--cache-size",
                 "64",
-                "--pushdown",
             ]
         )
         assert args.sources == ["a.adj", "b.adj"]
         assert args.port == 0
         assert args.journal == "j.log"
         assert args.sessions == 16
-        assert args.pushdown is True
 
     def test_serve_rejects_unknown_workload(self, capsys) -> None:
         with pytest.raises(SystemExit):

@@ -176,8 +176,12 @@ class TestNotPartOfTheValue:
         assert articulation._engine is not None
 
     def test_equality_ignores_the_engine(self) -> None:
+        """Equality is identity, so it never reads the engine: a copy
+        is not ``==`` its original, and ``repr`` leaves the engine
+        out."""
         articulation = expert_session(60)
         clone = copy.copy(articulation)
         assert clone._engine is None and articulation._engine is not None
-        assert clone == articulation
+        assert clone != articulation
+        assert articulation == articulation
         assert "engine" not in repr(articulation).lower()

@@ -3,6 +3,7 @@ from the churn journal."""
 
 from __future__ import annotations
 
+from repro.kb.ingest import ingest_facts
 from repro.serving import ArticulationService, load_paper_workload
 from tests.support.kill import KILL, run_killed
 
@@ -105,3 +106,53 @@ service.apply_facts({late!r}, [])
         load_paper_workload(service)
         stats = service.stats()
         assert stats["journal"]["path"] == journal
+
+
+class TestIngestHandoff:
+    """``onion ingest FILE --db X --journal J``, then ``onion serve
+    --journal J --storage paged --storage-db X``: the service recovers
+    onto the ingested database itself."""
+
+    CHAIN = [("implies", f"t:{i}", f"t:{i + 1}") for i in range(5)]
+
+    def _ingest(self, tmp_path) -> tuple[str, str]:
+        db, journal = str(tmp_path / "facts.db"), str(tmp_path / "j.journal")
+        report = ingest_facts(db, self.CHAIN, journal_path=journal)
+        assert report["journaled"] == len(self.CHAIN)
+        return db, journal
+
+    def test_service_answers_the_ingested_base(self, tmp_path) -> None:
+        db, journal = self._ingest(tmp_path)
+        service = ArticulationService(
+            journal_path=journal, storage="paged", storage_path=db
+        )
+        assert service.recovery["facts"] == len(self.CHAIN)
+        for _, term, general in self.CHAIN:
+            assert general in service.infer(
+                {"op": "generalizations", "term": term}
+            )["terms"]
+
+    def test_retraction_before_a_kill_stays_retracted(self, tmp_path) -> None:
+        """A retraction the journal committed, but the paged file never
+        did, must not come back on the restart."""
+        db, journal = self._ingest(tmp_path)
+        run_killed(
+            f"""
+from repro.serving import ArticulationService
+
+service = ArticulationService(
+    journal_path=sys.argv[1], storage="paged", storage_path=sys.argv[2]
+)
+service.apply_facts([], [("implies", "t:1", "t:2")])
+{KILL}
+""",
+            journal,
+            db,
+        )
+        restarted = ArticulationService(
+            journal_path=journal, storage="paged", storage_path=db
+        )
+        assert restarted.recovery["facts"] == len(self.CHAIN) - 1
+        assert not restarted.infer(
+            {"op": "pattern", "atom": ["implies", "t:1", "t:2"]}
+        )["holds"]

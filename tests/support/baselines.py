@@ -18,11 +18,14 @@ benchmark ablations measure:
   scan instead of the cached :class:`~repro.core.patterns.MatchIndex`.
 * ``AllPairs*Matcher`` and :func:`all_pairs_skat` — SKAT matchers that
   examine every ``(term1, term2)`` pair instead of blocking.
+* :func:`execute_unpushed` — query execution with nothing pushed to
+  the stores: every WHERE condition is evaluated after conversion.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from dataclasses import replace
 
 from repro.core.graph import LabeledGraph
 from repro.core.ontology import Ontology
@@ -47,6 +50,9 @@ from repro.lexicon.skat import (
     SynonymMatcher,
 )
 from repro.lexicon.wordnet import MiniWordNet, normalize_lemma, seed_lexicon
+from repro.query.ast import Query
+from repro.query.engine import QueryEngine, ResultRow
+from repro.query.planner import FilterOp
 
 __all__ = [
     "AllPairsExactLabelMatcher",
@@ -56,6 +62,7 @@ __all__ = [
     "FlatHornEngine",
     "NaiveHornEngine",
     "all_pairs_skat",
+    "execute_unpushed",
     "find_matches_scan",
 ]
 
@@ -336,3 +343,27 @@ def all_pairs_skat(lexicon: MiniWordNet | None = None) -> SkatEngine:
     return SkatEngine(
         matchers=[*lexical, AllPairsStructuralMatcher(seeds=lexical[:2])]
     )
+
+
+# ----------------------------------------------------------------------
+# query execution
+# ----------------------------------------------------------------------
+def execute_unpushed(
+    engine: QueryEngine, query: Query | str
+) -> list[ResultRow]:
+    """Run ``engine``'s plan for ``query`` with nothing pushed: each
+    scan fetches every instance of its classes, values are converted,
+    and only then is every WHERE condition evaluated."""
+    plan = engine.plan(query)
+    unpushed = replace(
+        plan,
+        pipelines=tuple(
+            replace(
+                pipeline,
+                scan=replace(pipeline.scan, pushed=()),
+                filter=FilterOp(plan.query.where),
+            )
+            for pipeline in plan.pipelines
+        ),
+    )
+    return engine.run(unpushed)

@@ -275,9 +275,7 @@ class TestQuery:
         assert self.run_query(world, question) == 0
         memory_out = capsys.readouterr().out
         assert (
-            self.run_query(
-                world, question, "--backend", "sqlite", "--pushdown"
-            )
+            self.run_query(world, question, "--backend", "sqlite")
             == 0
         )
         assert capsys.readouterr().out == memory_out
@@ -365,7 +363,6 @@ class TestExplain:
             f"factory={world['factory_kb']}",
             "--backend",
             "sqlite",
-            "--pushdown",
         )
         assert code == 0
         out = capsys.readouterr().out
