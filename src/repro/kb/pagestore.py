@@ -10,8 +10,8 @@ follows the EMBANKS move of shifting index structures to disk behind
 a paged cache (PAPERS.md): the query algorithms — the Horn engine's
 compiled join plans, the serving tier's snapshot reads — run
 unmodified; only the bucket fetch underneath them changes, and bulk
-work such as :meth:`copy` runs inside SQLite rather than as a Python
-loop over facts.
+work such as :meth:`copy` or :meth:`retain` runs inside SQLite rather
+than as a Python loop over facts.
 
 Layout:
 
@@ -452,6 +452,37 @@ class PagedFactStore:
                 raise
         fresh._reload_counts()
         return fresh
+
+    def retain(self, keep: Iterable[Atom]) -> int:
+        """Delete every stored fact not in ``keep``; returns how many
+        went.  ``keep`` lands in a temporary table and the difference
+        runs as two DELETEs inside SQLite, so a stale closure never
+        passes through Python."""
+        with self._lock:
+            self._commit()
+            conn = self._conn
+            before = self._count
+            conn.execute("BEGIN")
+            with conn:  # commits, or rolls back (the temp table too)
+                conn.execute(
+                    "CREATE TEMP TABLE keep_facts (atom TEXT PRIMARY KEY)"
+                    " WITHOUT ROWID"
+                )
+                conn.executemany(
+                    "INSERT OR IGNORE INTO keep_facts VALUES (?)",
+                    ((_encode(atom),) for atom in keep),
+                )
+                for table in ("facts", "args"):
+                    conn.execute(
+                        f"DELETE FROM {table}"
+                        " WHERE atom NOT IN (SELECT atom FROM keep_facts)"
+                    )
+                conn.execute("DROP TABLE keep_facts")
+            self._buffer.clear()
+            self._buffered_facts = 0
+            self._sizes.clear()
+            self._reload_counts()
+            return before - self._count
 
     # ------------------------------------------------------------------
     # bulk ETL (staging + batch upsert + post-load reindex)

@@ -28,17 +28,12 @@ from repro.query.mediator import (
 from repro.query.planner import (
     FilterOp,
     FinalizeOp,
-    MergeOp,
     PhysicalPlan,
     Planner,
     ScanOp,
     SourcePipeline,
 )
-from repro.query.pushdown import (
-    push_condition,
-    pushable,
-    split_conditions,
-)
+from repro.query.pushdown import push_condition, split_conditions
 from repro.query.parser import parse_query
 from repro.query.reformulate import Conversion, SourcePlan, reformulate
 from repro.query.views import MaterializedView, ViewCatalog
@@ -54,7 +49,6 @@ __all__ = [
     "MaterializedView",
     "MediatorClass",
     "MediatorSpec",
-    "MergeOp",
     "PhysicalPlan",
     "Planner",
     "Query",
@@ -70,7 +64,6 @@ __all__ = [
     "parse_query",
     "project_rows",
     "push_condition",
-    "pushable",
     "reformulate",
     "split_conditions",
 ]

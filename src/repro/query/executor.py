@@ -62,7 +62,6 @@ class ExecutionStats:
     rows_scanned: int = 0
     rows_out: int = 0
     peak_rows: int = 0  # most rows materialized simultaneously
-    streamed: bool = True  # False when a sort barrier was required
     per_source: dict[str, int] = field(default_factory=dict)
 
 
@@ -278,7 +277,6 @@ class StreamingExecutor:
             return rows
 
         if query.order_by:
-            stats.streamed = False
             rows = list(stream)
             stats.peak_rows = max(stats.peak_rows, len(rows))
             rows = finalize_rows(query, rows)

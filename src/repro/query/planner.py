@@ -8,9 +8,10 @@ The query path is layered (EMBANKS-style plan/execute split):
 2. This module turns those into a :class:`PhysicalPlan` — an
    inspectable operator tree: per-source **scan** ops carrying the
    predicates and projections pushed down to the storage backend,
-   **convert** and **filter** ops for the post-fetch work, and
-   **merge**/**finalize** ops describing how per-source streams become
-   the final answer.  WHERE is always split per source
+   **convert** and **filter** ops for the post-fetch work, and a
+   **finalize** op for what happens once per-source streams are
+   concatenated (a sort barrier only for ORDER BY).  WHERE is always
+   split per source
    (:func:`~repro.query.pushdown.split_conditions`): what the source
    can evaluate in its own metric is pushed, the rest stays residual.
 3. :mod:`repro.query.executor` evaluates the plan as iterator
@@ -39,7 +40,6 @@ __all__ = [
     "ScanOp",
     "ConvertOp",
     "FilterOp",
-    "MergeOp",
     "FinalizeOp",
     "SourcePipeline",
     "PhysicalPlan",
@@ -117,20 +117,6 @@ class SourcePipeline:
 
 
 @dataclass(frozen=True)
-class MergeOp:
-    """Concatenate per-source streams into one answer ordered by
-    ``(source, instance_id)``.  Every store scans in ``instance_id``
-    order, so the merge streams; only ORDER BY (``streaming`` False)
-    needs a sort barrier."""
-
-    streaming: bool
-
-    def describe(self) -> str:
-        mode = "streaming concat" if self.streaming else "sort"
-        return f"merge: {mode} by (source, instance_id)"
-
-
-@dataclass(frozen=True)
 class FinalizeOp:
     """Aggregation / ORDER BY / LIMIT / final projection."""
 
@@ -166,7 +152,6 @@ class PhysicalPlan:
 
     query: Query
     pipelines: tuple[SourcePipeline, ...]
-    merge: MergeOp
     finalize: FinalizeOp
 
     @property
@@ -181,7 +166,10 @@ class PhysicalPlan:
             lines.extend("  " + line for line in pipeline.scan.describe())
             lines.extend("  " + line for line in pipeline.convert.describe())
             lines.extend("  " + line for line in pipeline.filter.describe())
-        lines.append("  " + self.merge.describe())
+        # every store scans in instance_id order, so per-source streams
+        # concatenate into the answer; only ORDER BY needs a sort barrier
+        merge = "sort" if self.query.order_by else "streaming concat"
+        lines.append(f"  merge: {merge} by (source, instance_id)")
         lines.append("  " + self.finalize.describe())
         return "\n".join(lines)
 
@@ -251,7 +239,6 @@ class Planner:
         return PhysicalPlan(
             query=query,
             pipelines=tuple(pipelines),
-            merge=MergeOp(streaming=not query.order_by),
             finalize=FinalizeOp(
                 aggregates=query.aggregates,
                 order_by=query.order_by,

@@ -156,8 +156,9 @@ class ChurnJournal:
 
         An existing paged database (``storage_path``, the ingest
         handoff) keeps whatever it last committed — facts retracted
-        since, and everything derived from them — so every stored fact
-        outside the fold is unlinked before saturating.
+        since, and everything derived from them — so before saturating
+        the store retains only the fold's facts, a set difference run
+        inside SQLite.
         """
         from repro.core.rules import HornClause
         from repro.inference.horn import HornEngine
@@ -177,9 +178,8 @@ class ChurnJournal:
             facts.update(tuple(a) for a in json.loads(adds))
             pending += not committed
         engine = HornEngine(journal=self, **engine_kwargs)  # type: ignore[arg-type]
-        store = engine.store
-        for atom in [f for f in store.iter_facts() if f not in facts]:
-            store.remove(atom)
+        if len(engine.store):  # only a reopened paged file starts non-empty
+            engine.store.retain(facts)  # type: ignore[attr-defined]
         engine.add_clauses(
             HornClause(tuple(head), tuple(tuple(a) for a in body))
             for head, body in doc["clauses"]

@@ -239,6 +239,18 @@ class TestBulkLoad:
         assert report["deduplicated"] == 2
         assert len(store) == 2
 
+    def test_retain_deletes_the_rest_with_every_index(self, store) -> None:
+        store.bulk_load(_chain(6) + [("P", "n0", "x")])
+        assert set(store.probe("S", 1, "n1")) == {("S", "n1", "n2")}
+        keep = [("S", "n0", "n1"), ("P", "n0", "x"), ("Q", "absent", "y")]
+        assert store.retain(keep) == 5
+        assert set(store.iter_facts()) == set(keep[:2])
+        assert len(store) == 2
+        assert store.pool_size("S") == 1
+        assert list(store.probe("S", 1, "n1")) == []  # cached bucket gone
+        assert store.probe_size("S", 2, "n2") == 0
+        assert set(store.probe("P", 1, "n0")) == {("P", "n0", "x")}
+
     def test_cold_load_rebuilds_indexes_post_load(self, tmp_path) -> None:
         path = tmp_path / "facts.sqlite"
         paged = PagedFactStore(path)

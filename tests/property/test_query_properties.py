@@ -66,6 +66,26 @@ def test_pushdown_agrees_with_plain(seed, raw_conditions) -> None:
     ]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pushdown_agrees_at_converted_boundaries(seed) -> None:
+    """Random constants almost never sit on a pushed threshold; a
+    stored price's converted value puts that instance exactly on it."""
+    engine = build_engine(seed, 30)
+    prices = engine.execute(Query.over("transport:Vehicle", select=["price"]))
+    for row in prices:
+        for op in ("<", "<=", ">", ">="):
+            query = Query.over(
+                "transport:Vehicle",
+                select=["price"],
+                where=[Condition("price", op, row.get("price"))],
+            )
+            pushed = engine.execute(query)
+            plain = execute_unpushed(engine, query)
+            assert [(r.source, r.instance_id) for r in pushed] == [
+                (r.source, r.instance_id) for r in plain
+            ]
+
+
 @given(st.integers(min_value=0, max_value=50), conditions)
 @settings(max_examples=25, deadline=None)
 def test_where_narrowing_is_monotone(seed, raw_conditions) -> None:

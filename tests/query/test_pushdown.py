@@ -6,15 +6,18 @@ import pytest
 
 from repro.core.articulation import Articulation
 from repro.core.rules import FunctionalRule, TermRef
+from repro.kb.backends import SQLiteBackend
 from repro.kb.instances import InstanceStore
 from repro.query.ast import Condition, Query
 from repro.query.engine import QueryEngine
-from repro.query.pushdown import push_condition, pushable, split_conditions
-from repro.query.reformulate import Conversion, reformulate
+from repro.query.pushdown import push_condition, split_conditions
+from repro.query.reformulate import Conversion, SourcePlan, reformulate
+from repro.query.views import ViewCatalog
 from repro.workloads.paper_example import (
     PS_PER_EURO,
     carrier_store,
     factory_store,
+    generate_transport_articulation,
 )
 from tests.support.baselines import execute_unpushed
 
@@ -66,6 +69,33 @@ class TestConversionInverse:
         assert pushed.op == ">"
         assert pushed.value == pytest.approx(-5.0)
 
+    def test_no_exact_threshold_stays_residual(self) -> None:
+        """An inverse that misses the boundary by far more than a few
+        floats yields no pushed condition; the condition stays
+        residual."""
+        off = Conversion(
+            "price",
+            "a:U",
+            "b:V",
+            (
+                FunctionalRule(
+                    "Shift",
+                    TermRef("a", "U"),
+                    TermRef("b", "V"),
+                    fn=lambda x: x + 1000.0,
+                    inverse=lambda x: x,
+                ),
+            ),
+        )
+
+        class FakePlan:
+            conversions = {"price": off}
+
+        query = Query.over("b:V", where=[Condition("price", "<", 5000)])
+        plan: SourcePlan = FakePlan()  # type: ignore[assignment]
+        assert push_condition(query.where[0], plan) is None
+        assert split_conditions(query, plan) == ((), query.where)
+
 
 class TestPushability:
     def test_range_ops_push(self, transport: Articulation) -> None:
@@ -73,7 +103,7 @@ class TestPushability:
             "transport:Vehicle", where=[Condition("price", "<", 100)]
         )
         plan = carrier_price_plan(transport, query)
-        assert pushable(query.where[0], plan)
+        assert push_condition(query.where[0], plan) is not None
 
     def test_equality_never_pushes_through_conversion(
         self, transport: Articulation
@@ -82,7 +112,7 @@ class TestPushability:
             "transport:Vehicle", where=[Condition("price", "=", 100)]
         )
         plan = carrier_price_plan(transport, query)
-        assert not pushable(query.where[0], plan)
+        assert push_condition(query.where[0], plan) is None
 
     def test_unconverted_attribute_trivially_pushes(
         self, transport: Articulation
@@ -91,7 +121,7 @@ class TestPushability:
             "transport:Vehicle", where=[Condition("model", "=", "T800")]
         )
         plan = carrier_price_plan(transport, query)
-        assert pushable(query.where[0], plan)
+        assert push_condition(query.where[0], plan) == query.where[0]
 
     def test_non_numeric_constant_does_not_push(
         self, transport: Articulation
@@ -100,7 +130,7 @@ class TestPushability:
             "transport:Vehicle", where=[Condition("price", "<", "cheap")]
         )
         plan = carrier_price_plan(transport, query)
-        assert not pushable(query.where[0], plan)
+        assert push_condition(query.where[0], plan) is None
 
     def test_split_conditions_splits_residual(
         self, transport: Articulation
@@ -163,3 +193,51 @@ class TestEndToEndEquivalence:
             )
 
         assert fetched(QueryEngine.execute) < fetched(execute_unpushed)
+
+
+class TestExactThresholds:
+    """A pushed threshold splits stored values exactly where their
+    converted values split.  7111 PS converts to exactly 10000.0 EUR,
+    while the inverse ``10000 * 0.7111`` rounds to 7110.999999999999."""
+
+    @staticmethod
+    def boundary_engine(backend_kind: str = "memory") -> QueryEngine:
+        carrier = carrier_store()
+        carrier.add("Boundary", "Car", price=7111)
+        if backend_kind == "sqlite":
+            carrier = carrier.clone(SQLiteBackend())
+        return QueryEngine(
+            generate_transport_articulation(),
+            {"carrier": carrier, "factory": factory_store()},
+        )
+
+    @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_boundary_price_answers_as_unpushed(
+        self, op: str, backend_kind: str
+    ) -> None:
+        engine = self.boundary_engine(backend_kind)
+        question = (
+            f"SELECT price FROM transport:Vehicle WHERE price {op} 10000"
+        )
+        rows = engine.execute(question)
+        assert [(r.source, r.instance_id) for r in rows] == [
+            (r.source, r.instance_id)
+            for r in execute_unpushed(engine, question)
+        ]
+        kept = ("carrier", "Boundary") in {
+            (r.source, r.instance_id) for r in rows
+        }
+        assert kept == (op in ("<=", ">="))
+
+    def test_view_answers_as_the_live_plan(self) -> None:
+        engine = self.boundary_engine()
+        catalog = ViewCatalog(engine)
+        question = "SELECT price FROM transport:Vehicle WHERE price <= 10000"
+        live = catalog.execute(question)
+        catalog.define("vehicles", "SELECT price FROM transport:Vehicle")
+        from_view = catalog.execute(question)
+        assert catalog.hits == 1
+        assert [(r.source, r.instance_id) for r in from_view] == [
+            (r.source, r.instance_id) for r in live
+        ]
